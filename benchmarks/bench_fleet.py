@@ -10,12 +10,12 @@ is backend-independent and bounds the ceiling well below the raw
 kernel speedup).  A **100,000-device** fleet-scale smoke runs on the
 preferred batch tier (jit when available, vector otherwise) to keep
 the controller honest at the paper-fleet scale; the same scale doubles
-as the RNG fan-in comparison — the serial per-device
+as the in-process RNG fan-in comparison — the serial per-device
 :class:`~repro.sim.rng.FanInSource` against the vectorized
 :class:`~repro.sim.rng_batched.BatchedPCG64Source` — whose blocks must
-be byte-identical everywhere and whose **>= 5x** throughput gate binds
-only on multi-core runners, where the batched source fans
-``LANE_BAND``-lane bands across a process pool.  The final contract —
+be byte-identical everywhere (the throughput ratio is recorded and
+held to its committed baseline by ``compare_baselines.py``).  The
+final contract —
 a checkpoint/resume campaign reproduces an uninterrupted run's
 telemetry *exactly* — is asserted alongside, on a mixed fleet (batch
 group + timeout heuristics + a stream-driven device) so every stepping
@@ -34,7 +34,6 @@ or standalone (emits one JSON document on stdout)::
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 
@@ -62,14 +61,8 @@ SPEEDUP_TARGET = 10.0
 N_DEVICES_SMOKE = 100_000
 #: jit acceptance on the fleet path: no worse than the vector tier.
 JIT_SPEEDUP_TARGET = 1.0
-#: RNG fan-in comparison: one 10^5-lane block spans ~7 LANE_BAND bands,
-#: so the batched source's process pool engages.
+#: RNG fan-in comparison: one 10^5-lane block, drawn in-process.
 N_LANES_RNG = N_DEVICES_SMOKE
-BATCHED_SPEEDUP_TARGET = 5.0
-#: The >=5x gate needs real cores: the batched source beats the serial
-#: fan-in by drawing LANE_BAND-lane bands in a process pool, so on
-#: narrow runners the ratio sits near 1x and only byte-identity binds.
-BATCHED_GATE_MIN_CORES = 8
 
 
 def _stationary_fleet(bundle, n_devices: int, seed: int = 0) -> Fleet:
@@ -120,19 +113,10 @@ def _mixed_fleet(seed: int = 3) -> Fleet:
     return fleet
 
 
-def _run(
-    fleet: Fleet,
-    backend: str,
-    ticks: int,
-    slices_per_tick: int,
-    uniform_source: str = "auto",
-):
+def _run(fleet: Fleet, backend: str, ticks: int, slices_per_tick: int):
     """One timed campaign; returns (seconds, rate, resolved backend)."""
     controller = FleetController(
-        fleet,
-        slices_per_tick=slices_per_tick,
-        backend=backend,
-        uniform_source=uniform_source,
+        fleet, slices_per_tick=slices_per_tick, backend=backend
     )
     start = time.perf_counter()
     controller.run(ticks)
@@ -154,9 +138,7 @@ def _rng_fan_in_rates(n_lanes: int, chunk: int, seed: int = 7):
     """
     generators = [device_rng(seed, i) for i in range(n_lanes)]
     batched = (
-        BatchedPCG64Source(
-            generators, n_kinds=4, processes=os.cpu_count() or 1
-        )
+        BatchedPCG64Source(generators, n_kinds=4)
         if batched_available()
         else None
     )
@@ -166,11 +148,10 @@ def _rng_fan_in_rates(n_lanes: int, chunk: int, seed: int = 7):
     fanin_rate = n_lanes * chunk / (time.perf_counter() - start)
     if batched is None:
         return fanin_rate, None, True
-    with batched:
-        start = time.perf_counter()
-        block = batched.random((chunk, 4, n_lanes))
-        batched.sync()
-        batched_rate = n_lanes * chunk / (time.perf_counter() - start)
+    start = time.perf_counter()
+    block = batched.random((chunk, 4, n_lanes))
+    batched.sync()
+    batched_rate = n_lanes * chunk / (time.perf_counter() - start)
     return fanin_rate, batched_rate, bool((block == reference).all())
 
 
@@ -269,9 +250,8 @@ def bench_fleet_jit_1024dev(benchmark):
 def bench_fleet_batched_vs_fanin_100000lane(benchmark):
     """Vectorized batched fan-in vs the serial per-device fan-in.
 
-    Byte-identity of the two blocks is asserted unconditionally; the
-    >=5x throughput gate binds only where the pool has cores to fan
-    bands across (and the numpy build supports the batched path).
+    Byte-identity of the two blocks is asserted; the in-process
+    throughput ratio is recorded, not gated here.
     """
     fanin_rate, batched_rate, identical = benchmark.pedantic(
         lambda: _rng_fan_in_rates(N_LANES_RNG, 8), rounds=1, iterations=1
@@ -286,13 +266,6 @@ def bench_fleet_batched_vs_fanin_100000lane(benchmark):
         batched_device_slices_per_sec=round(batched_rate),
         speedup=round(speedup, 2),
     )
-    if (os.cpu_count() or 1) >= BATCHED_GATE_MIN_CORES:
-        assert speedup >= BATCHED_SPEEDUP_TARGET, (
-            f"batched fan-in only {speedup:.1f}x the serial fan-in "
-            f"({batched_rate:,.0f} vs {fanin_rate:,.0f} device-slices/s) "
-            f"on a {os.cpu_count()}-core runner; "
-            f"target {BATCHED_SPEEDUP_TARGET}x"
-        )
 
 
 def bench_fleet_checkpoint_roundtrip(benchmark, tmp_path):
@@ -346,27 +319,18 @@ def collect(quick: bool = False) -> dict:
     smoke_slices = 8 if quick else 16
     smoke_fleet = _stationary_fleet(bundle, N_DEVICES_SMOKE, seed=1)
     seconds, rate, resolved = _run(smoke_fleet, "auto", 1, smoke_slices)
-    # Same scale forced through the serial fan-in: together with the
-    # auto run (batched when the build supports it) this is the
-    # fleet-level half of the fanin-vs-batched comparison.
-    fanin_fleet = _stationary_fleet(bundle, N_DEVICES_SMOKE, seed=1)
-    _, fanin_fleet_rate, _ = _run(
-        fanin_fleet, "auto", 1, smoke_slices, uniform_source="fanin"
-    )
     records.append(
         {
             "name": f"batch_disk66_{N_DEVICES_SMOKE}dev",
             "backend": resolved,
-            "uniform_source": "auto",
             "n_devices": N_DEVICES_SMOKE,
             "slices_per_device": smoke_slices,
             "seconds": round(seconds, 4),
             "device_slices_per_sec": round(rate),
-            "fanin_device_slices_per_sec": round(fanin_fleet_rate),
         }
     )
-    # Source-level half: raw uniform-block production at 10^5 lanes,
-    # where the batched source's band pool actually engages.
+    # Raw uniform-block production at 10^5 lanes, both producers
+    # in-process on the same generator states.
     rng_chunk = 8 if quick else 16
     fanin_rate, batched_rate, rng_identical = _rng_fan_in_rates(
         N_LANES_RNG, rng_chunk
@@ -376,7 +340,6 @@ def collect(quick: bool = False) -> dict:
         "n_lanes": N_LANES_RNG,
         "chunk": rng_chunk,
         "n_kinds": 4,
-        "processes": os.cpu_count() or 1,
         "fanin_device_slices_per_sec": round(fanin_rate),
     }
     if batched_rate is not None:
@@ -394,12 +357,6 @@ def collect(quick: bool = False) -> dict:
         "jit_available": with_jit,
         "jit_speedup_target": JIT_SPEEDUP_TARGET,
         "batched_available": batched_available(),
-        "batched_speedup_target": BATCHED_SPEEDUP_TARGET,
-        "batched_gate_active": (
-            not quick
-            and batched_available()
-            and (os.cpu_count() or 1) >= BATCHED_GATE_MIN_CORES
-        ),
         "rng_blocks_identical": rng_identical,
         "checkpoint_resume_exact": exact,
     }
@@ -434,12 +391,6 @@ def main(argv=None) -> int:
     if (
         "speedup_jit_vs_vector" in document
         and document["speedup_jit_vs_vector"] < JIT_SPEEDUP_TARGET
-    ):
-        return 1
-    if (
-        document["batched_gate_active"]
-        and document.get("speedup_batched_vs_fanin", 0.0)
-        < BATCHED_SPEEDUP_TARGET
     ):
         return 1
     return 0

@@ -22,7 +22,8 @@ Module index
     one batch of the vector backend's joint-state kernel, each lane
     drawing from its own device's generator through a
     :class:`~repro.sim.rng.UniformSource` (vectorized batched PCG64
-    fan-in by default, serial fan-in otherwise); stateful/adaptive/
+    fan-in where every stream in the lane block is a clean PCG64,
+    serial fan-in otherwise); stateful/adaptive/
     stream-driven devices fall back to a resumable per-device loop.
     Results are bitwise identical however devices are grouped.
 :mod:`~repro.runtime.policy_cache`

@@ -53,7 +53,6 @@ CHECKPOINT_FIELDS = frozenset(
         "slices_per_tick",
         "backend",
         "chunk_slices",
-        "uniform_source",
         "telemetry_every",
         "telemetry_per_device",
         "fleet",
@@ -78,7 +77,6 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
     chunk_slices: int,
     telemetry_every: int,
     telemetry_per_device: bool,
-    uniform_source: str = "auto",
 ) -> dict:
     """Build a checkpoint payload from explicit run state.
 
@@ -105,7 +103,6 @@ def checkpoint_payload(  # repro-lint: schema=CHECKPOINT_FIELDS
         "slices_per_tick": int(slices_per_tick),
         "backend": str(backend),
         "chunk_slices": int(chunk_slices),
-        "uniform_source": str(uniform_source),
         "telemetry_every": int(telemetry_every),
         "telemetry_per_device": bool(telemetry_per_device),
         "fleet": fleet,
@@ -183,7 +180,6 @@ def save_checkpoint(path, controller, *, fsync: bool = False) -> None:
             controller.chunk_slices,
             controller._telemetry_every,
             controller._telemetry_per_device,
-            uniform_source=controller.uniform_source,
         ),
         fsync=fsync,
     )

@@ -15,8 +15,10 @@ inside a 1000-lane batch, or after a checkpoint/resume — the property
 the fleet determinism suite pins down.  Being PCG64, these streams are
 exactly what the vectorized fan-in
 (:class:`~repro.sim.rng_batched.BatchedPCG64Source`) can stack and
-advance as array math; a device carrying any other clean generator
-still works through the serial :class:`~repro.sim.rng.FanInSource`.
+advance as array math.  A device carrying any other generator still
+works: the controller serves its lane block through the serial
+:class:`~repro.sim.rng.FanInSource` instead, and both producers serve
+the same bytes.
 
 ``build_fleet`` turns a JSON fleet spec (device groups x workloads x
 agents, see :func:`parse_fleet_spec`) into a registered fleet, solving

@@ -59,8 +59,8 @@ DEVICE_RECORD_FIELDS = frozenset(
 
 #: The complete field set of a fleet snapshot record, including the
 #: optional fields stamped by the controller (``devices`` under
-#: ``per_device=True``, ``backend`` and ``uniform_source`` always,
-#: ``timing`` under ``record_timing=True``) and by the fleet daemon
+#: ``per_device=True``, ``backend`` always, ``timing`` under
+#: ``record_timing=True``) and by the fleet daemon
 #: (``quarantined`` — shard indices parked by the supervisor's
 #: crash-loop breaker, only present when non-empty so fault-free
 #: snapshots stay byte-identical to single-process ones).
@@ -76,7 +76,6 @@ SNAPSHOT_FIELDS = frozenset(
         "counters",
         "devices",
         "backend",
-        "uniform_source",
         "timing",
         "quarantined",
     }
@@ -103,6 +102,21 @@ def device_record(device: Device) -> dict:  # repro-lint: schema=DEVICE_RECORD_F
 _COUNTER_FIELDS = ("arrivals", "serviced", "lost", "loss_event_slices")
 
 
+def _fold_sum(series) -> float:
+    """Sum floats strictly left to right, one rounding per addition.
+
+    Builtin :func:`sum` switched to compensated summation in Python
+    3.12, so ``sum([0.1] * 10)`` is ``1.0`` there but
+    ``0.9999999999999999`` on 3.10/3.11.  The plain fold gives the
+    3.11 value on every interpreter, keeping fleet telemetry floats
+    identical across the supported Python versions.
+    """
+    total = 0.0
+    for value in series:
+        total += value
+    return total
+
+
 def _aggregate(stats) -> tuple[dict, dict]:
     """Fold per-device ``(averages, counter-tuple)`` pairs into fleet
     aggregates.
@@ -121,7 +135,7 @@ def _aggregate(stats) -> tuple[dict, dict]:
             counters[name] += value
     metrics = {
         name: {
-            "mean": sum(series) / len(series),
+            "mean": _fold_sum(series) / len(series),
             "min": min(series),
             "max": max(series),
         }

@@ -8,10 +8,11 @@ controller's grouped stepping is bitwise grouping-invariant, a device
 produces *exactly* the same state trajectory inside any shard as it
 would in the single-process controller: sharding buys wall-clock
 parallelism for the per-device uniform fan-in without touching a
-single byte of the results.  The supervisor's ``uniform_source`` knob
-passes through to every worker's controller unchanged — the batched
-and serial uniform producers are byte-identical, so re-partitioning a
-fleet or flipping the knob never changes what any device consumes.
+single byte of the results.  Each worker's controller picks its
+per-lane uniform producer by the same rule as a single-process one
+(vectorized PCG64 where every stream allows it, serial fan-in
+otherwise); the two are byte-identical, so re-partitioning a fleet
+never changes what any device consumes.
 
 Partitioning is content-addressed: :func:`shard_signature` reduces a
 device to its batching signature (system content, costs content,
@@ -164,7 +165,6 @@ class ShardConfig:
     slices_per_tick: int
     backend: str = "auto"
     chunk_slices: int | None = None
-    uniform_source: str = "auto"
     spool_dir: str | None = None
     fault_plan: FaultPlan | None = None
     fault_ledger: str | None = None
@@ -209,7 +209,6 @@ class _ShardWorker:
                 backend=self._config.backend,
                 telemetry_every=_NEVER_EMIT,
                 chunk_slices=self._config.chunk_slices,
-                uniform_source=self._config.uniform_source,
                 initial_tick=self._tick,
             )
         return self._controller
@@ -226,7 +225,6 @@ class _ShardWorker:
             FLEET_CHUNK_SLICES if chunk is None else chunk,
             1,
             False,
-            uniform_source=self._config.uniform_source,
         )
         try:
             path = self._spool.write(payload)

@@ -14,7 +14,8 @@ consume.  A source produces ``(chunk, kinds, lanes)`` uniform blocks;
   single-stream semantics of passing a bare ``Generator``);
 * :class:`FanInSource` — lane ``l`` draws from its own device
   generator, serially (the reference fleet fan-in, with shape
-  validation and an optional process pool);
+  validation, and the fleet's producer for any stream the batched
+  path cannot carry);
 * :class:`~repro.sim.rng_batched.BatchedPCG64Source` — the vectorized
   PCG64 implementation, byte-identical to :class:`FanInSource` for
   PCG64 streams at a fraction of the per-device overhead.
@@ -143,20 +144,6 @@ class GeneratorSource:
         return self._generator.random(shape)
 
 
-def _fan_in_band(generators, chunk: int, n_kinds: int):
-    """Pool-worker task: serial fan-in over one band of generators.
-
-    Receives pickled generator copies, draws each lane's block, and
-    returns the block *plus the advanced generators* so the parent can
-    restore stream state — the band round-trips bitwise because
-    generator pickling is exact.
-    """
-    out = np.empty((chunk, n_kinds, len(generators)))
-    for lane, generator in enumerate(generators):
-        out[:, :, lane] = generator.random((chunk, n_kinds))
-    return out, generators
-
-
 class FanInSource:
     """Per-lane fan-in: lane ``l`` draws from its own device generator.
 
@@ -182,12 +169,6 @@ class FanInSource:
     max_chunk:
         Declared chunk cap (the controller's pinned ``chunk_slices``);
         oversized requests are rejected the same way.
-    processes:
-        Fan the serial loop out across a process pool in bands (device
-        streams are independent, so banding is bitwise neutral).  Only
-        worth it for very large lane counts on multi-core machines —
-        each call ships generator state both ways.  ``None`` (default)
-        keeps the in-process loop.
     """
 
     def __init__(
@@ -195,19 +176,10 @@ class FanInSource:
         generators,
         n_kinds: int | None = None,
         max_chunk: int | None = None,
-        processes: int | None = None,
     ):
         self._generators = list(generators)
         self._n_kinds = None if n_kinds is None else int(n_kinds)
         self._max_chunk = None if max_chunk is None else int(max_chunk)
-        if processes is not None:
-            processes = int(processes)
-            if processes <= 0:
-                raise ValidationError(
-                    f"processes must be > 0, got {processes}"
-                )
-        self._processes = processes
-        self._executor = None
 
     @property
     def generators(self) -> list:
@@ -219,70 +191,15 @@ class FanInSource:
         """Number of lanes served."""
         return len(self._generators)
 
-    def _pool(self):
-        if self._executor is None:
-            import concurrent.futures
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self._processes, mp_context=context
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "FanInSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def random(self, shape) -> np.ndarray:
         """Fill a ``(chunk, kinds, lanes)`` block, one lane per stream."""
-        chunk, n_kinds, n_lanes = _validate_block_shape(
+        chunk, n_kinds, _ = _validate_block_shape(
             shape, len(self._generators), self._n_kinds, self._max_chunk,
             type(self).__name__,
         )
-        if self._processes is not None and n_lanes > self._processes:
-            return self._random_pooled(chunk, n_kinds, n_lanes)
         out = np.empty(shape)
         for lane, generator in enumerate(self._generators):
             out[:, :, lane] = generator.random((chunk, n_kinds))
-        return out
-
-    def _random_pooled(
-        self, chunk: int, n_kinds: int, n_lanes: int
-    ) -> np.ndarray:
-        """Banded pool fan-in; restores advanced generator state."""
-        band = -(-n_lanes // self._processes)  # ceil division
-        bounds = [
-            (lo, min(lo + band, n_lanes)) for lo in range(0, n_lanes, band)
-        ]
-        futures = [
-            self._pool().submit(
-                _fan_in_band, self._generators[lo:hi], chunk, n_kinds
-            )
-            for lo, hi in bounds
-        ]
-        out = np.empty((chunk, n_kinds, n_lanes))
-        for (lo, hi), future in zip(bounds, futures):
-            block, advanced = future.result()
-            out[:, :, lo:hi] = block
-            # The parent's generator objects stay canonical: copy the
-            # advanced bit-generator state back instead of swapping in
-            # the pickled copies (devices hold references to ours).
-            for lane, worker_generator in zip(range(lo, hi), advanced):
-                self._generators[lane].bit_generator.state = (
-                    worker_generator.bit_generator.state
-                )
         return out
 
 

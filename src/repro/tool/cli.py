@@ -71,7 +71,7 @@ import numpy as np
 from repro.core.pareto import simulate_curve
 from repro.experiments import available_experiments, run_experiment
 from repro.lint.cli import add_lint_arguments, run_lint
-from repro.runtime.controller import CONTROLLER_BACKENDS, UNIFORM_SOURCES
+from repro.runtime.controller import CONTROLLER_BACKENDS
 from repro.sim.backends import BACKEND_CHOICES, available_backends
 from repro.sim.rng import make_rng
 from repro.tool.pipeline import run_pipeline, sweep_tradeoff
@@ -260,15 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the pin",
     )
     p_fleet.add_argument(
-        "--uniform-source",
-        default="auto",
-        choices=UNIFORM_SOURCES,
-        help="per-lane uniform producer for grouped batches: auto "
-        "(vectorized batched PCG64 where byte-identical, serial "
-        "fan-in otherwise), fanin, or batched (require the "
-        "vectorized path); affects speed only, never results",
-    )
-    p_fleet.add_argument(
         "--timing",
         action="store_true",
         help="stamp telemetry with per-tick wall-clock (step/solve "
@@ -351,13 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="pinned chunk length for grouped batches (default: 256)",
-    )
-    p_serve.add_argument(
-        "--uniform-source",
-        default="auto",
-        choices=UNIFORM_SOURCES,
-        help="per-lane uniform producer for grouped batches "
-        "(as for the fleet command)",
     )
     p_serve.add_argument(
         "--lp-backend",
@@ -857,11 +841,6 @@ def _cmd_fleet(args) -> int:
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device or None,
                 backend=args.backend if args.backend != "auto" else None,
-                uniform_source=(
-                    args.uniform_source
-                    if args.uniform_source != "auto"
-                    else None
-                ),
                 record_timing=args.timing,
             )
             cache = None
@@ -894,7 +873,6 @@ def _cmd_fleet(args) -> int:
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device,
                 chunk_slices=args.chunk_slices,
-                uniform_source=args.uniform_source,
                 record_timing=args.timing,
                 policy_cache=cache,
             )
@@ -990,7 +968,6 @@ def _cmd_serve(args) -> int:
     slices_per_tick = args.slices_per_tick or 1000
     backend = args.backend
     chunk_slices = args.chunk_slices
-    uniform_source = args.uniform_source
     per_device = args.per_device
     if args.resume:
         payload = load_checkpoint(args.resume)
@@ -999,11 +976,6 @@ def _cmd_serve(args) -> int:
         slices_per_tick = payload["slices_per_tick"]
         backend = payload["backend"]
         chunk_slices = payload["chunk_slices"]
-        # Speed knob, not a determinism pin: an explicit flag wins over
-        # the checkpoint's saved producer (pre-knob checkpoints resume
-        # as "auto").
-        if uniform_source == "auto":
-            uniform_source = payload.get("uniform_source", "auto")
         # Like `fleet --resume`: the flag can force per-device snapshots
         # on, but when absent the checkpoint's setting carries over so a
         # resumed daemon keeps emitting the same telemetry shape.
@@ -1053,7 +1025,6 @@ def _cmd_serve(args) -> int:
         slices_per_tick=slices_per_tick,
         backend=backend,
         chunk_slices=chunk_slices,
-        uniform_source=uniform_source,
         lp_backend=args.lp_backend,
         spool_dir=args.spool_dir,
         checkpoint_every=args.checkpoint_every,

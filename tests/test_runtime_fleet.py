@@ -428,6 +428,32 @@ class TestTelemetry:
         assert len(lines) == 3
         assert json.loads(lines[-1])["tick"] == 3
 
+    def test_fleet_mean_folds_left_to_right(self):
+        # Ten devices averaging 0.1: compensated summation (builtin
+        # sum on Python >= 3.12, math.fsum) gives exactly 1.0, the
+        # plain left-to-right fold gives 0.9999999999999999.  The fleet
+        # mean must be the fold's value on every interpreter.
+        import math
+
+        from repro.runtime.telemetry import snapshot_from_records
+
+        series = [0.1] * 10
+        assert math.fsum(series) == 1.0
+        records = [
+            {
+                "averages": {"power": value},
+                "arrivals": 0,
+                "serviced": 0,
+                "lost": 0,
+                "loss_event_slices": 0,
+                "slices": 1,
+            }
+            for value in series
+        ]
+        stats = snapshot_from_records(1, records)["metrics"]["power"]
+        assert stats["mean"] == 0.9999999999999999 / 10
+        assert repr(stats["mean"]) == "0.09999999999999999"
+
     def test_snapshot_of_empty_fleet(self):
         record = snapshot(Fleet(), tick=0)
         assert record["n_devices"] == 0

@@ -121,7 +121,6 @@ def _supervisor_records(supervisor, n_ticks):
             supervisor.tick, supervisor.collect_records(), per_device=True
         )
         record["backend"] = supervisor.resolved_backend
-        record["uniform_source"] = supervisor.uniform_source
         out.append(record)
     return out
 

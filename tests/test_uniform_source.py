@@ -4,19 +4,22 @@ The contract under test is the tentpole of the vectorized fan-in: a
 :class:`~repro.sim.rng_batched.BatchedPCG64Source` serves every lane
 the *same bytes* its device's private ``Generator.random`` would — for
 any chunk size, across consecutive variable-shape requests, across
-lane-block boundaries, through the process pool, and through
-checkpoint/resume and shard re-partitioning — with the backing
-generator objects landing in the exact states a serial fan-in leaves.
-When the guarantee cannot be given (non-PCG64 streams, a buffered
-half-draw, a numpy build that fails the self-check), ``"auto"`` falls
-back to the serial :class:`~repro.sim.rng.FanInSource` and
-``"batched"`` fails loudly.
+lane-block boundaries, and through checkpoint/resume and shard
+re-partitioning — with the backing generator objects landing in the
+exact states a serial fan-in leaves.
+
+The fleet picks its producer by rule, with no option to override it:
+batched when the PCG64 self-check passes and every stream in a lane
+block is a clean PCG64, the serial
+:class:`~repro.sim.rng.FanInSource` otherwise.  The fleet-level oracle
+therefore forces the fan-in by marking the self-check unavailable
+(:func:`_fanin_only`) and compares that run with the default one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -26,10 +29,6 @@ from repro.runtime import (
     FleetController,
     MemoryTelemetry,
     device_rng,
-)
-from repro.runtime.controller import (
-    UNIFORM_SOURCES,
-    _FanInUniforms,
 )
 from repro.sim import rng_batched
 from repro.sim.rng import (
@@ -118,16 +117,6 @@ class TestFanInSource:
             source.random((8, 4))
         with pytest.raises(ValidationError, match="> 0"):
             source.random((0, 4, 4))
-
-    def test_pooled_matches_serial_and_advances_parents(self):
-        generators = _generators(10, seed=3)
-        reference = _generators(10, seed=3)
-        with FanInSource(generators, n_kinds=4, processes=2) as source:
-            block = source.random((7, 4, 10))
-        assert (block == _reference_block(reference, 7, 4)).all()
-        # Worker-side draws must advance the parent's generator objects.
-        for mine, theirs in zip(generators, reference):
-            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 # ----------------------------------------------------------------------
@@ -256,17 +245,6 @@ class TestBatchedSource:
         with pytest.raises(ValidationError, match="lane 1"):
             BatchedPCG64Source(generators)
 
-    def test_pooled_blocks_are_byte_identical(self, monkeypatch):
-        monkeypatch.setattr(rng_batched, "LANE_BAND", 8)
-        generators = _generators(21, seed=9)
-        reference = _generators(21, seed=9)
-        with BatchedPCG64Source(generators, processes=2) as source:
-            block = source.random((11, 3, 21))
-            source.sync()
-        assert (block == _reference_block(reference, 11, 3)).all()
-        for mine, theirs in zip(generators, reference):
-            assert mine.bit_generator.state == theirs.bit_generator.state
-
     def test_unavailable_build_raises_with_reason(self, monkeypatch):
         monkeypatch.setattr(
             rng_batched,
@@ -279,7 +257,7 @@ class TestBatchedSource:
 
 
 # ----------------------------------------------------------------------
-# the controller knob
+# the controller's producer selection
 # ----------------------------------------------------------------------
 def _stationary_fleet(n, seed=0):
     from repro.policies import StationaryPolicyAgent, eager_markov_policy
@@ -299,12 +277,28 @@ def _stationary_fleet(n, seed=0):
     return fleet
 
 
-def _run_records(fleet, uniform_source, ticks=3, slices=700, **kwargs):
+@contextlib.contextmanager
+def _fanin_only():
+    """Force every lane block onto the serial fan-in.
+
+    Marks the PCG64 self-check unavailable — the same observable input
+    that sends an unsupported numpy build down the fan-in path.  Shard
+    workers forked inside the block inherit the marker.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            rng_batched,
+            "_DERIVED",
+            {"mult": None, "reason": "serial fan-in forced by the test"},
+        )
+        yield
+
+
+def _run_records(fleet, ticks=3, slices=700, **kwargs):
     sink = MemoryTelemetry()
     controller = FleetController(
         fleet,
         slices_per_tick=slices,
-        uniform_source=uniform_source,
         telemetry=sink,
         telemetry_per_device=True,
         **kwargs,
@@ -313,183 +307,170 @@ def _run_records(fleet, uniform_source, ticks=3, slices=700, **kwargs):
     return controller, sink.records
 
 
-def _strip_stamp(records):
-    return [
-        json.dumps(
-            {k: v for k, v in record.items() if k != "uniform_source"},
-            sort_keys=True,
-        )
-        for record in records
-    ]
+def _dumps(records):
+    return [json.dumps(record, sort_keys=True) for record in records]
+
+
+def _source_types(controller):
+    return {
+        type(source)
+        for group in controller._vector_groups
+        for source in group._sources.values()
+    }
+
+
+def _final_states(fleet):
+    return [device.rng.bit_generator.state for device in fleet]
 
 
 class TestControllerKnob:
-    def test_knob_is_validated(self):
-        with pytest.raises(ValidationError, match="uniform_source"):
-            FleetController(_stationary_fleet(2), uniform_source="turbo")
-        assert UNIFORM_SOURCES == ("auto", "fanin", "batched")
-
-    def test_snapshot_stamps_requested_knob(self):
-        for knob in UNIFORM_SOURCES:
-            controller, records = _run_records(
-                _stationary_fleet(4), knob, ticks=1, slices=50
-            )
-            assert controller.uniform_source == knob
-            assert records[0]["uniform_source"] == knob
+    """The controller's producer rule, checked against the forced fan-in."""
 
     def test_fanin_batched_auto_byte_identical(self):
-        reference = None
-        states = None
-        for knob in UNIFORM_SOURCES:
-            fleet = _stationary_fleet(40)
-            _, records = _run_records(fleet, knob)
-            stripped = _strip_stamp(records)
-            final = [
-                device.rng.bit_generator.state for device in fleet
-            ]
-            if reference is None:
-                reference, states = stripped, final
-            else:
-                assert stripped == reference
-                assert final == states
+        fleet = _stationary_fleet(40)
+        controller, records = _run_records(fleet)
+        assert _source_types(controller) == {BatchedPCG64Source}
+        with _fanin_only():
+            fanin_fleet = _stationary_fleet(40)
+            fanin_controller, fanin_records = _run_records(fanin_fleet)
+        assert _source_types(fanin_controller) == {FanInSource}
+        assert _dumps(records) == _dumps(fanin_records)
+        assert _final_states(fleet) == _final_states(fanin_fleet)
 
     def test_block_boundaries_are_bitwise_neutral(self, monkeypatch):
         # Shrink the lane block so 11 devices split 4|4|3: per-lane
         # streams must not notice which block (or source) serves them.
         from repro.runtime import controller as controller_module
 
-        fleet_small = _stationary_fleet(11)
         monkeypatch.setattr(controller_module, "FLEET_LANE_BLOCK", 4)
-        _, split = _run_records(fleet_small, "batched", ticks=2)
+        fleet_split = _stationary_fleet(11)
+        controller, split = _run_records(fleet_split, ticks=2)
+        assert len(controller._vector_groups[0]._sources) == 3
+        with _fanin_only():
+            fleet_split_fanin = _stationary_fleet(11)
+            _, split_fanin = _run_records(fleet_split_fanin, ticks=2)
         monkeypatch.undo()
         fleet_whole = _stationary_fleet(11)
-        _, whole = _run_records(fleet_whole, "batched", ticks=2)
-        assert _strip_stamp(split) == _strip_stamp(whole)
+        _, whole = _run_records(fleet_whole, ticks=2)
+        assert _dumps(split) == _dumps(whole) == _dumps(split_fanin)
+        assert (
+            _final_states(fleet_split)
+            == _final_states(fleet_whole)
+            == _final_states(fleet_split_fanin)
+        )
 
     def test_mixed_generator_fleet_auto_falls_back(self):
         fleet = _stationary_fleet(6)
-        devices = list(fleet)
-        devices[3].rng = np.random.Generator(np.random.MT19937(5))
-        reference = _stationary_fleet(6)
-        list(reference)[3].rng = np.random.Generator(np.random.MT19937(5))
-        _, auto_records = _run_records(fleet, "auto", ticks=2)
-        _, fanin_records = _run_records(reference, "fanin", ticks=2)
-        assert _strip_stamp(auto_records) == _strip_stamp(fanin_records)
-
-    def test_mixed_generator_fleet_batched_raises(self):
-        fleet = _stationary_fleet(6)
         list(fleet)[3].rng = np.random.Generator(np.random.MT19937(5))
-        controller = FleetController(
-            fleet, slices_per_tick=50, uniform_source="batched"
-        )
-        with pytest.raises(ValidationError, match="lane 3"):
-            controller.step_tick()
-
-    def test_batched_unavailable_build_fails_at_construction(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(
-            rng_batched,
-            "_DERIVED",
-            {"mult": None, "reason": "simulated unsupported build"},
-        )
-        with pytest.raises(ValidationError, match="simulated unsupported"):
-            FleetController(
-                _stationary_fleet(2), uniform_source="batched"
+        controller, auto_records = _run_records(fleet, ticks=2)
+        assert _source_types(controller) == {FanInSource}
+        with _fanin_only():
+            reference = _stationary_fleet(6)
+            list(reference)[3].rng = np.random.Generator(
+                np.random.MT19937(5)
             )
-        # auto degrades to the serial fan-in instead of failing.
-        controller, records = _run_records(
-            _stationary_fleet(4), "auto", ticks=1, slices=50
-        )
-        assert records[0]["uniform_source"] == "auto"
+            _, fanin_records = _run_records(reference, ticks=2)
+        assert _dumps(auto_records) == _dumps(fanin_records)
 
-    def test_fanin_uniforms_alias_warns_and_works(self):
-        generators = _generators(3)
-        reference = _generators(3)
-        with pytest.deprecated_call():
-            shim = _FanInUniforms(generators)
-        block = shim.random((5, 4, 3))
-        assert (block == _reference_block(reference, 5, 4)).all()
+    def test_unavailable_build_falls_back_to_fanin(self):
+        with _fanin_only():
+            assert not batched_available()
+            controller, records = _run_records(
+                _stationary_fleet(4), ticks=1, slices=50
+            )
+        assert _source_types(controller) == {FanInSource}
+        _, batched_records = _run_records(
+            _stationary_fleet(4), ticks=1, slices=50
+        )
+        assert _dumps(records) == _dumps(batched_records)
+
+    def test_producer_options_are_rejected(self, capsys):
+        from repro.tool.cli import main as cli_main
+
+        with pytest.raises(TypeError):
+            FleetController(_stationary_fleet(2), uniform_source="fanin")
+        snapshot = FleetController(_stationary_fleet(2)).snapshot()
+        assert "uniform_source" not in snapshot
+        for command in (["fleet"], ["serve", "--socket", "fleet.sock"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main([*command, "--uniform-source", "fanin"])
+            assert exit_info.value.code == 2
+            assert "--uniform-source" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# checkpoint/resume and shard transport with batched active
+# checkpoint/resume and shard transport against the fan-in oracle
 # ----------------------------------------------------------------------
 class TestPersistence:
     def test_checkpoint_resume_byte_identity(self, tmp_path):
-        # Uninterrupted batched run vs checkpoint-at-2 + resumed run.
-        _, straight = _run_records(
-            _stationary_fleet(24), "batched", ticks=4
-        )
+        # Uninterrupted fan-in run vs checkpoint-at-2 + resumed run on
+        # the default (batched) path, resumed both ways.
+        with _fanin_only():
+            _, straight = _run_records(_stationary_fleet(24), ticks=4)
         fleet = _stationary_fleet(24)
-        controller, records = _run_records(fleet, "batched", ticks=2)
+        controller, records = _run_records(fleet, ticks=2)
         path = tmp_path / "fleet.ckpt"
         controller.save_checkpoint(path)
-        resumed = FleetController.resume(path, telemetry=None)
-        assert resumed.uniform_source == "batched"
-        sink = MemoryTelemetry()
-        resumed._telemetry = sink
-        resumed._telemetry_per_device = True
-        resumed.run(2)
-        assert _strip_stamp(records + sink.records) == _strip_stamp(
-            straight
-        )
+        for forced in (False, True):
+            with _fanin_only() if forced else contextlib.nullcontext():
+                sink = MemoryTelemetry()
+                resumed = FleetController.resume(
+                    path, telemetry=sink, telemetry_per_device=True
+                )
+                resumed.run(2)
+            assert _dumps(records + sink.records) == _dumps(straight)
 
-    def test_resume_override_is_byte_identical(self, tmp_path):
-        fleet = _stationary_fleet(12)
-        controller, _ = _run_records(fleet, "fanin", ticks=1)
-        path = tmp_path / "fleet.ckpt"
-        controller.save_checkpoint(path)
-        a = FleetController.resume(path)
-        b = FleetController.resume(path, uniform_source="batched")
-        assert a.uniform_source == "fanin"
-        assert b.uniform_source == "batched"
-        a.run(1)
-        b.run(1)
-        assert _strip_stamp([a.snapshot(per_device=True)]) == _strip_stamp(
-            [b.snapshot(per_device=True)]
-        )
-
-    def test_pre_knob_checkpoint_resumes_as_auto(self, tmp_path):
+    def test_legacy_checkpoint_with_stamp_resumes_exactly(self, tmp_path):
+        # A version-1 payload exactly as older builds wrote it — with
+        # the retired producer stamp — resumes and continues
+        # byte-identically to the uninterrupted run.
         from repro.runtime.checkpoint import (
-            load_checkpoint,
+            CHECKPOINT_VERSION,
             write_checkpoint,
         )
 
-        fleet = _stationary_fleet(4)
-        controller, _ = _run_records(fleet, "auto", ticks=1, slices=50)
-        path = tmp_path / "fleet.ckpt"
-        controller.save_checkpoint(path)
-        payload = load_checkpoint(path)
-        assert payload["uniform_source"] == "auto"
-        del payload["uniform_source"]
-        legacy = tmp_path / "legacy.ckpt"
-        write_checkpoint(legacy, payload)
-        resumed = FleetController.resume(legacy)
-        assert resumed.uniform_source == "auto"
+        _, straight = _run_records(_stationary_fleet(8), ticks=4, slices=200)
+        fleet = _stationary_fleet(8)
+        controller, prefix = _run_records(fleet, ticks=2, slices=200)
+        legacy = {
+            "format": "repro-fleet-checkpoint",
+            "version": 1,
+            "tick": controller.tick,
+            "slices_per_tick": controller.slices_per_tick,
+            "backend": controller.backend,
+            "chunk_slices": controller.chunk_slices,
+            "uniform_source": "fanin",
+            "telemetry_every": 1,
+            "telemetry_per_device": True,
+            "fleet": fleet,
+        }
+        assert CHECKPOINT_VERSION == legacy["version"]
+        path = tmp_path / "legacy.ckpt"
+        write_checkpoint(path, legacy)
+        sink = MemoryTelemetry()
+        resumed = FleetController.resume(path, telemetry=sink)
+        resumed.run(2)
+        assert _source_types(resumed) == {BatchedPCG64Source}
+        assert _dumps(prefix + sink.records) == _dumps(straight)
 
     def test_shard_repartition_identity_with_batched(self, tmp_path):
-        # A 2-shard batched daemon's telemetry continues a 1-process
-        # fanin run byte-for-byte after resuming its checkpoint with a
-        # different partitioning.
+        # A 2-shard daemon's telemetry continues a 1-process run
+        # byte-for-byte after resuming its checkpoint with a different
+        # partitioning — against the forced fan-in reference.
         from repro.runtime.telemetry import snapshot_from_records
         from repro.service import ShardSupervisor
 
-        _, straight = _run_records(
-            _stationary_fleet(10), "fanin", ticks=4, slices=200
-        )
+        with _fanin_only():
+            _, straight = _run_records(
+                _stationary_fleet(10), ticks=4, slices=200
+            )
         fleet = _stationary_fleet(10)
-        controller, prefix = _run_records(
-            fleet, "batched", ticks=2, slices=200
-        )
+        controller, prefix = _run_records(fleet, ticks=2, slices=200)
         path = tmp_path / "fleet.ckpt"
         controller.save_checkpoint(path)
         payload_fleet = FleetController.resume(path).fleet
         supervisor = ShardSupervisor(
-            2,
-            slices_per_tick=200,
-            uniform_source="batched",
-            checkpoint_every=0,
+            2, slices_per_tick=200, checkpoint_every=0
         )
         supervisor.start(payload_fleet, tick=2)
         try:
@@ -502,10 +483,7 @@ class TestPersistence:
                     per_device=True,
                 )
                 record["backend"] = supervisor.resolved_backend
-                record["uniform_source"] = supervisor.uniform_source
                 tail.append(record)
-            info = supervisor.info()
-            assert info["uniform_source"] == "batched"
         finally:
             supervisor.stop()
-        assert _strip_stamp(prefix + tail) == _strip_stamp(straight)
+        assert _dumps(prefix + tail) == _dumps(straight)
