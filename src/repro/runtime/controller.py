@@ -43,7 +43,7 @@ import time
 import numpy as np
 
 from repro.policies.base import Observation
-from repro.runtime.fleet import Device, Fleet
+from repro.runtime.fleet import Device, Fleet, group_keys
 from repro.runtime.telemetry import snapshot
 from repro.sim.backends import get_backend, preferred_batch_backend
 from repro.sim.backends.base import SimulationTables
@@ -70,9 +70,9 @@ FLEET_CHUNK_SLICES = 256
 #: into consecutive lane blocks so a 100k-device group draws bounded
 #: uniform buffers (256 x 4 x 16384 is ~134 MB) instead of one
 #: fleet-sized allocation.  Bitwise neutral: every lane draws from its
-#: own device stream through the fan-in shim and chunk boundaries are
-#: per-lane, so block boundaries change *which call* steps a lane,
-#: never what it consumes or how its sums associate.
+#: own device stream through its block's uniform source and chunk
+#: boundaries are per-lane, so block boundaries change *which call*
+#: steps a lane, never what it consumes or how its sums associate.
 FLEET_LANE_BLOCK = 16_384
 
 #: Accepted ``backend`` values for the controller.
@@ -131,6 +131,7 @@ class _VectorGroup:
     def __init__(
         self,
         devices: list[Device],
+        policy_sigs: list[str],
         step_lanes,
         chunk_slices: int,
     ):
@@ -149,22 +150,20 @@ class _VectorGroup:
         self._sources: dict[int, object] = {}
         first = devices[0]
         self.tables = first.compile_tables()
-        # Distinct policies within the group are stacked once; lanes
-        # index into the stack (1024 identical devices compile one row).
-        from repro.runtime.policy_cache import policy_signature
-
+        # Distinct policies within the group (by the content signatures
+        # of :func:`~repro.runtime.fleet.group_keys`) are stacked once;
+        # lanes index into the stack (1024 identical devices compile
+        # one row).
         unique: dict[str, int] = {}
         policies = []
-        policy_of_lane = []
-        for device in devices:
-            policy = device.agent.stationary_policy(device.system)
-            signature = policy_signature(policy)
+        for device, signature in zip(devices, policy_sigs):
             if signature not in unique:
                 unique[signature] = len(policies)
-                policies.append(policy)
-            policy_of_lane.append(unique[signature])
+                policies.append(device.agent.stationary_policy(device.system))
         self.compiled = CompiledPolicyBatch.compile(first.system, policies)
-        self.policy_of_lane = np.asarray(policy_of_lane, dtype=np.int64)
+        self.policy_of_lane = np.asarray(
+            [unique[signature] for signature in policy_sigs], dtype=np.int64
+        )
         self.n_policies = len(policies)
 
     def step(self, n_slices: int) -> None:
@@ -517,49 +516,43 @@ class FleetController:
     def _refresh_groups(self) -> None:
         if self._groups_version == self._fleet.version:
             return
-        from repro.runtime.policy_cache import (
-            costs_signature,
-            system_signature,
-        )
-
-        grouped: dict[tuple, list[Device]] = {}
+        grouped: dict[tuple, tuple[list[Device], list[str]]] = {}
         loop_devices: list[Device] = []
-        for device in self._fleet:
-            eligible = device.vector_eligible and self._backend != "loop"
-            if self._backend == "vector" and not device.vector_eligible:
+        # Tables are cached per (system, costs) content and mapped by
+        # device id — never stashed on the Device record, which must
+        # stay free of incidental attributes so checkpoints pickle the
+        # same bytes however the fleet was stepped (or sharded).
+        compiled: dict[tuple, SimulationTables] = {}
+        loop_tables: dict[str, SimulationTables] = {}
+        for device, (key, policy_sig) in zip(self._fleet, group_keys(self._fleet)):
+            if self._backend == "vector" and policy_sig is None:
                 raise ValidationError(
                     f"backend 'vector' requires every device to be "
                     f"vector-eligible; {device.device_id!r} "
                     f"({device.agent.describe()}, "
                     f"{'stream' if device.stream else 'model'}-driven) is not"
                 )
-            if eligible:
-                grouped.setdefault(device.group_key(), []).append(device)
-            else:
-                loop_devices.append(device)
+            if policy_sig is not None and self._backend != "loop":
+                devices, policy_sigs = grouped.setdefault(key, ([], []))
+                devices.append(device)
+                policy_sigs.append(policy_sig)
+                continue
+            loop_devices.append(device)
+            model = key[:2]
+            if model not in compiled:
+                compiled[model] = device.compile_tables()
+            loop_tables[device.device_id] = compiled[model]
         self._vector_groups = [
             _VectorGroup(
                 devices,
+                policy_sigs,
                 self._batch_backend.step_lanes,
                 self._chunk_slices,
             )
-            for devices in grouped.values()
+            for devices, policy_sigs in grouped.values()
         ]
         self._loop_devices = loop_devices
-        # Tables are cached per (system, costs) content and mapped by
-        # device id — never stashed on the Device record, which must
-        # stay free of incidental attributes so checkpoints pickle the
-        # same bytes however the fleet was stepped (or sharded).
-        compiled: dict[tuple, SimulationTables] = {}
-        self._loop_tables = {}
-        for device in loop_devices:
-            key = (
-                system_signature(device.system),
-                costs_signature(device.costs),
-            )
-            if key not in compiled:
-                compiled[key] = device.compile_tables()
-            self._loop_tables[device.device_id] = compiled[key]
+        self._loop_tables = loop_tables
         self._groups_version = self._fleet.version
 
     def step_tick(  # repro-lint: schema=repro.runtime.telemetry:SNAPSHOT_FIELDS

@@ -39,6 +39,7 @@ from repro.policies.base import PolicyAgent, StationaryAgent
 from repro.runtime.policy_cache import (
     PolicyCache,
     costs_signature,
+    policy_signature,
     system_signature,
 )
 from repro.runtime.streams import ArrivalStream, stream_from_spec
@@ -54,6 +55,7 @@ __all__ = [
     "build_fleet",
     "build_group_devices",
     "device_rng",
+    "group_keys",
     "parse_fleet_spec",
 ]
 
@@ -153,29 +155,15 @@ class Device:
         """
         return isinstance(self.agent, StationaryAgent) and self.stream is None
 
-    def group_key(self) -> tuple:
-        """Batching signature: devices sharing it step in one batch.
+    def group_key(self) -> tuple[str, str, str]:
+        """This device's content key alone: ``group_keys([self])``.
 
-        ``(system content, costs content, policy-determinism flag)`` —
-        the determinism flag is part of the key because the batch
-        kernel draws 3 uniform kinds per slice for fully-deterministic
-        policy batches and 4 otherwise; mixing the two in one batch
-        would make a device's stream consumption depend on its
-        neighbours.
+        Regrouping and shard dealing key whole batches through
+        :func:`group_keys` and never call this; it stays because the
+        traced benchmark (``perfbench/tracing.py``) resolves
+        ``Device.group_key`` by name.
         """
-        if not self.vector_eligible:
-            raise ValidationError(
-                f"device {self.device_id!r} is not vector-eligible"
-            )
-        policy = self.agent.stationary_policy(self.system)
-        deterministic = bool(
-            (policy.matrix.max(axis=1) > 1.0 - _DETERMINISTIC_TOL).all()
-        )
-        return (
-            system_signature(self.system),
-            costs_signature(self.costs),
-            deterministic,
-        )
+        return group_keys([self])[0][0]
 
     # ------------------------------------------------------------------
     # metric views
@@ -193,6 +181,52 @@ class Device:
     def compile_tables(self) -> SimulationTables:
         """Compile the simulation tables for this device's model."""
         return SimulationTables.compile(self.system, self.costs)
+
+
+def group_keys(devices) -> list[tuple[tuple[str, str, str], str | None]]:
+    """Content keys of ``devices``: one ``(key, policy_sig)`` per device.
+
+    ``key`` is ``(system content, costs content, flavor)``.  Devices
+    sharing it step in one controller batch and are dealt round-robin
+    across service shards.  ``flavor`` is ``"loop"`` for devices the
+    batch kernel cannot express, else ``"det"`` or ``"stoch"`` by
+    policy determinism: the kernel draws 3 uniform kinds per slice for
+    fully deterministic policy batches and 4 otherwise, so mixing the
+    two in one batch would make a device's stream consumption depend
+    on its neighbours.  ``policy_sig`` is the content digest of a
+    vector-eligible device's stationary policy (``None`` on the loop
+    path); a batch stacks its distinct policies by it.
+
+    Each distinct system, costs or policy object is hashed once per
+    call.  The identity memo holds its objects only while the call
+    runs — their ids stay unique meanwhile, and nothing is pinned
+    afterwards, so an agent that builds a fresh policy on every query
+    cannot grow it.
+    """
+    memo: dict[int, tuple] = {}
+
+    def content(obj, digest):
+        entry = memo.get(id(obj))
+        if entry is None:
+            entry = memo[id(obj)] = (obj, digest(obj))
+        return entry[1]
+
+    def policy_content(policy) -> tuple[str, str]:
+        rows = policy.matrix.max(axis=1)
+        flavor = "det" if (rows > 1.0 - _DETERMINISTIC_TOL).all() else "stoch"
+        return policy_signature(policy), flavor
+
+    keys = []
+    for device in devices:
+        system_sig = content(device.system, system_signature)
+        costs_sig = content(device.costs, costs_signature)
+        if device.vector_eligible:
+            policy = device.agent.stationary_policy(device.system)
+            policy_sig, flavor = content(policy, policy_content)
+        else:
+            policy_sig, flavor = None, "loop"
+        keys.append(((system_sig, costs_sig, flavor), policy_sig))
+    return keys
 
 
 class Fleet:
@@ -605,7 +639,7 @@ def build_agent_from_spec(
     agent_spec = dict(agent_spec)
     if not isinstance(agent_spec.get("type", "optimal"), str):
         raise ValidationError("agent spec 'type' must be a string")
-    cache = cache or PolicyCache()
+    cache = PolicyCache() if cache is None else cache
     group_policy = None
     if str(agent_spec.get("type", "optimal")) == "optimal":
         group_policy = _group_policy(
@@ -710,7 +744,7 @@ def build_group_devices(
         raise ValidationError(
             f"group spec: count must be > 0, got {group.get('count')}"
         )
-    cache = cache or PolicyCache()
+    cache = PolicyCache() if cache is None else cache
     staging = Fleet()
     _build_group(
         staging, group, int(group_index), int(base_seed), cache, lp_backend
@@ -732,7 +766,7 @@ def build_fleet(
     report dedupe statistics.
     """
     raw = parse_fleet_spec(raw)
-    cache = cache or PolicyCache()
+    cache = PolicyCache() if cache is None else cache
     fleet = Fleet()
     for gi, group in enumerate(raw["groups"]):
         _build_group(fleet, group, gi, base_seed, cache, lp_backend)

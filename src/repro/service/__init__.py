@@ -49,12 +49,7 @@ from repro.service.protocol import (
     FrameChannel,
     ProtocolError,
 )
-from repro.service.shard import (
-    Partitioner,
-    ShardConfig,
-    shard_signature,
-    spool_path,
-)
+from repro.service.shard import Partitioner, ShardConfig
 
 __all__ = [
     "EVENT_FIELDS",
@@ -73,6 +68,4 @@ __all__ = [
     "ServiceError",
     "ShardConfig",
     "ShardSupervisor",
-    "shard_signature",
-    "spool_path",
 ]

@@ -480,10 +480,11 @@ class ShardSupervisor:
         if self._started:
             raise ValidationError("supervisor is already running")
         partitions: list[list[Device]] = [[] for _ in range(self._n_shards)]
-        for device in fleet:
+        devices = list(fleet)
+        for device in devices:
             self._check_distributable(device)
+        for device, shard in zip(devices, self._partitioner.assign(devices)):
             self._register_canonical(device)
-            shard = self._partitioner.assign(device)
             self._order.append(device.device_id)
             self._owner[device.device_id] = shard
             partitions[shard].append(device)
@@ -759,8 +760,7 @@ class ShardSupervisor:
             seen.add(device.device_id)
             self._check_distributable(device)
         per_shard: dict[int, list[Device]] = {}
-        for device in devices:
-            shard = self._partitioner.assign(device)
+        for device, shard in zip(devices, self._partitioner.assign(devices)):
             self._register_canonical(device)
             self._order.append(device.device_id)
             self._owner[device.device_id] = shard
@@ -998,7 +998,7 @@ class FleetDaemon:
         self._telemetry = telemetry
         self._telemetry_every = telemetry_every
         self._telemetry_per_device = bool(telemetry_per_device)
-        self._cache = policy_cache or PolicyCache()
+        self._cache = PolicyCache() if policy_cache is None else policy_cache
         self._next_group_index = int(next_group_index)
         self._replay: OrderedDict[str, object] = OrderedDict()
         self._running = False

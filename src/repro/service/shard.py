@@ -14,14 +14,15 @@ per-lane uniform producer by the same rule as a single-process one
 otherwise); the two are byte-identical, so re-partitioning a fleet
 never changes what any device consumes.
 
-Partitioning is content-addressed: :func:`shard_signature` reduces a
-device to its batching signature (system content, costs content,
-policy determinism — or the loop marker for devices the batch kernel
-cannot express) and :class:`Partitioner` deals equal-signature devices
-round-robin across shards.  Equal-signature devices are the ones that
-batch together, so the deal keeps every shard's batches big while the
-ordinal counters make assignment a pure function of registration
-order — live registrations continue the sequence deterministically.
+Partitioning is content-addressed: :class:`Partitioner` deals devices
+round-robin across shards per content key — the same
+:func:`~repro.runtime.fleet.group_keys` key the controller batches on
+(system content, costs content, policy determinism — or the loop
+marker for devices the batch kernel cannot express).  Equal-key
+devices are the ones that batch together, so the deal keeps every
+shard's batches big while the ordinal counters make assignment a pure
+function of registration order — live registrations continue the
+sequence deterministically.
 
 Workers talk to the supervisor over a ``multiprocessing`` pipe with
 pickled ``(command, payload)`` tuples — the JSON protocol is for
@@ -35,14 +36,12 @@ what the supervisor replays from when a worker dies mid-run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro import faults
 from repro.faults.plan import FaultPlan
 from repro.runtime.checkpoint import checkpoint_payload
 from repro.runtime.controller import FLEET_CHUNK_SLICES, FleetController
-from repro.runtime.fleet import Device, Fleet
-from repro.runtime.policy_cache import costs_signature, system_signature
+from repro.runtime.fleet import Fleet, group_keys
 from repro.runtime.telemetry import device_record
 from repro.service.spool import SpoolSlot
 from repro.util.validation import ValidationError
@@ -50,9 +49,7 @@ from repro.util.validation import ValidationError
 __all__ = [
     "Partitioner",
     "ShardConfig",
-    "shard_signature",
     "shard_worker_main",
-    "spool_path",
 ]
 
 #: Telemetry cadence no run reaches: shard controllers never emit —
@@ -60,32 +57,16 @@ __all__ = [
 _NEVER_EMIT = 2**62
 
 
-def shard_signature(device: Device) -> str:
-    """A device's content-addressed partitioning key.
-
-    Vector-eligible devices use their batching ``group_key`` (system
-    content, costs content, policy-determinism flag); loop-path
-    devices use the model content plus a ``loop`` marker so trace- or
-    heuristic-driven devices of one kind also spread evenly.
-    """
-    if device.vector_eligible:
-        system_sig, costs_sig, deterministic = device.group_key()
-        flavor = "det" if deterministic else "stoch"
-    else:
-        system_sig = system_signature(device.system)
-        costs_sig = costs_signature(device.costs)
-        flavor = "loop"
-    return "|".join((system_sig, costs_sig, flavor))
-
-
 class Partitioner:
-    """Stateful round-robin dealer of equal-signature devices.
+    """Stateful round-robin dealer of equal-content devices.
 
-    Assignment is ``ordinal(signature) % n_shards`` where the ordinal
-    counts devices of that signature ever assigned — a pure function
-    of registration order, so re-running the same registrations always
-    produces the same partition, and a later live registration slots
-    in exactly where a longer initial fleet would have put it.
+    Assignment is ``ordinal(key) % n_shards`` where ``key`` is a
+    device's :func:`~repro.runtime.fleet.group_keys` content key and
+    the ordinal counts devices of that key ever assigned — a pure
+    function of registration order, so re-running the same
+    registrations always produces the same partition, and a later live
+    registration slots in exactly where a longer initial fleet would
+    have put it.
     """
 
     def __init__(self, n_shards: int):
@@ -93,58 +74,21 @@ class Partitioner:
         if n_shards <= 0:
             raise ValidationError(f"n_shards must be > 0, got {n_shards}")
         self._n_shards = n_shards
-        self._ordinals: dict[str, int] = {}
-        self._memo: dict[tuple, tuple] = {}
+        self._ordinals: dict[tuple, int] = {}
 
     @property
     def n_shards(self) -> int:
         """Number of shards devices are dealt across."""
         return self._n_shards
 
-    def _signature(self, device: Device) -> str:
-        """Memoized :func:`shard_signature`.
-
-        Devices of one group share their model objects, so the content
-        hashes behind the signature are computed once per group rather
-        than once per device — at 100k devices that is the difference
-        between a sub-second and a ten-second fleet deal.  The memo
-        entry pins the keyed objects, so the ``id()`` keys stay valid
-        for the partitioner's lifetime.
-        """
-        if device.vector_eligible:
-            policy = device.agent.stationary_policy(device.system)
-            key = (
-                True,
-                id(device.system),
-                id(device.costs),
-                id(policy),
-            )
-            pins: tuple = (device.system, device.costs, policy)
-        else:
-            key = (False, id(device.system), id(device.costs))
-            pins = (device.system, device.costs)
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = (pins, shard_signature(device))
-            self._memo[key] = entry
-        return entry[1]
-
-    def assign(self, device: Device) -> int:
-        """Deal one device; returns its shard index."""
-        signature = self._signature(device)
-        ordinal = self._ordinals.get(signature, 0)
-        self._ordinals[signature] = ordinal + 1
-        return ordinal % self._n_shards
-
-
-def spool_path(spool_dir, index: int) -> Path:
-    """The legacy single-file per-shard spool path.
-
-    Superseded by the CRC-stamped generation files of
-    :mod:`repro.service.spool` (``shard-N.g0.ckpt`` / ``.g1.ckpt``);
-    kept as the stable base name shards are spooled under.
-    """
-    return Path(spool_dir) / f"shard-{int(index)}.ckpt"
+    def assign(self, devices) -> list[int]:
+        """Deal a batch of devices in order; returns their shard indices."""
+        shards = []
+        for key, _ in group_keys(devices):
+            ordinal = self._ordinals.get(key, 0)
+            self._ordinals[key] = ordinal + 1
+            shards.append(ordinal % self._n_shards)
+        return shards
 
 
 @dataclass(frozen=True)

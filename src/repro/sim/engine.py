@@ -53,7 +53,6 @@ from repro.sim.backends import (
     preferred_batch_backend,
     resolve_backend,
 )
-from repro.sim.backends.base import resolve_initial_state
 from repro.sim.result import SimulationResult
 from repro.sim.rng import child_rngs
 from repro.sim.stats import SampleStats
@@ -66,9 +65,6 @@ __all__ = [
     "simulate_replications",
     "simulate_sessions",
 ]
-
-# Backwards-compatible alias (pre-backend refactor name).
-_resolve_initial_state = resolve_initial_state
 
 
 def _check_n_slices(n_slices: int) -> int:

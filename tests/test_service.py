@@ -33,6 +33,7 @@ from repro.runtime import (
     checkpoint_payload,
     load_checkpoint,
 )
+from repro.runtime.fleet import group_keys
 from repro.runtime.telemetry import snapshot_from_records
 from repro.service import (
     FleetDaemon,
@@ -40,7 +41,6 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ShardSupervisor,
-    shard_signature,
 )
 from repro.util.validation import ValidationError
 
@@ -146,21 +146,21 @@ def test_partitioner_deals_round_robin_per_signature():
     fleet, _ = build_fleet(SPEC, base_seed=SEED)
     devices = list(fleet)
     partitioner = Partitioner(3)
-    assignment = [partitioner.assign(device) for device in devices]
+    assignment = partitioner.assign(devices)
     # equal-signature devices spread evenly, in registration order
-    by_signature: dict[str, list[int]] = {}
-    for device, shard in zip(devices, assignment):
-        by_signature.setdefault(shard_signature(device), []).append(shard)
+    by_signature: dict[tuple, list[int]] = {}
+    for (key, _), shard in zip(group_keys(devices), assignment):
+        by_signature.setdefault(key, []).append(shard)
     assert len(by_signature) == 2  # optimal-group vs timeout-group
     for shards in by_signature.values():
         assert shards == [i % 3 for i in range(len(shards))]
     # a pure function of registration order: replay agrees, and a
     # second batch continues the deal where the first stopped
     replay = Partitioner(3)
-    assert [replay.assign(device) for device in devices] == assignment
+    assert replay.assign(devices) == assignment
     split = Partitioner(3)
-    first = [split.assign(device) for device in devices[:7]]
-    second = [split.assign(device) for device in devices[7:]]
+    first = split.assign(devices[:7])
+    second = split.assign(devices[7:])
     assert first + second == assignment
 
 
