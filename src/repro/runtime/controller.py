@@ -120,12 +120,50 @@ def _lane_block_source(generators, n_kinds: int, max_chunk: int):
     return FanInSource(generators, n_kinds=n_kinds, max_chunk=max_chunk)
 
 
+#: The per-device accumulator arrays a vector group owns as columns.
+_ACCUMULATORS = ("totals", "command_counts", "provider_occupancy")
+
+
+def _adopt_rows(devices: list[Device]) -> list[np.ndarray]:
+    """Stack the devices' accumulator arrays into (n, k) columns, one
+    per name in :data:`_ACCUMULATORS`, and rebind each device's arrays
+    to its row views.
+
+    A row keeps its device's own dtype object: pickle memoizes dtypes
+    by identity, so a resumed device (whose arrays share the unpickled
+    dtype) must not switch to the builtin one, or its checkpoint bytes
+    would change.
+    """
+    columns, foreign = [], []
+    for name in _ACCUMULATORS:
+        owned = [getattr(device, name) for device in devices]
+        column = np.concatenate(owned).reshape(len(owned), len(owned[0]))
+        columns.append(column)
+        foreign.extend(
+            (i, name, array.dtype)
+            for i, array in enumerate(owned)
+            if array.dtype is not column.dtype and array.dtype == column.dtype
+        )
+    for device, totals, counts, occupancy in zip(devices, *columns):
+        device.totals = totals
+        device.command_counts = counts
+        device.provider_occupancy = occupancy
+    for i, name, dtype in foreign:
+        setattr(devices[i], name, getattr(devices[i], name).view(dtype))
+    return columns
+
+
 class _VectorGroup:
     """One compiled batch: devices sharing a group signature.
 
     ``step_lanes`` is the resolved batch tier's bound stepper
     (``VectorBackend.step_lanes`` or ``JitBackend.step_lanes``) — the
     two are byte-identical, so the choice affects speed only.
+
+    The group owns its devices' accumulators as columns (``totals``
+    (n, M), ``command_counts`` (n, A), ``provider_occupancy`` (n, S));
+    each device holds row views, so a lane block's results land with
+    three array additions and one ``tolist`` pass for the scalars.
     """
 
     def __init__(
@@ -165,6 +203,9 @@ class _VectorGroup:
             [unique[signature] for signature in policy_sigs], dtype=np.int64
         )
         self.n_policies = len(policies)
+        self.totals, self.command_counts, self.provider_occupancy = (
+            _adopt_rows(devices)
+        )
 
     def step(self, n_slices: int) -> None:
         """Advance every device in the group by ``n_slices`` slices."""
@@ -172,6 +213,7 @@ class _VectorGroup:
         # fixed by policy determinism; declaring the geometry lets the
         # source reject a desynchronizing request instead of serving it.
         n_kinds = 3 if self.compiled.fully_deterministic else 4
+        n_slices = int(n_slices)
         for base in range(0, len(self.devices), FLEET_LANE_BLOCK):
             block = self.devices[base : base + FLEET_LANE_BLOCK]
             source = self._sources.get(base)
@@ -185,7 +227,7 @@ class _VectorGroup:
                 np.asarray([d.state[1] for d in block], dtype=np.int64),
                 np.asarray([d.state[2] for d in block], dtype=np.int64),
             )
-            lengths = np.full(len(block), int(n_slices), dtype=np.int64)
+            lengths = np.full(len(block), n_slices, dtype=np.int64)
             try:
                 acc = self._step_lanes(
                     self.tables,
@@ -204,16 +246,24 @@ class _VectorGroup:
                 sync = getattr(source, "sync", None)
                 if sync is not None:
                     sync()
-            for lane, device in enumerate(block):
-                device.totals += acc.totals[:, lane]
-                device.command_counts += acc.command_counts[lane]
-                device.provider_occupancy += acc.provider_occupancy[lane]
-                device.arrivals += int(acc.arrivals[lane])
-                device.serviced += int(acc.serviced[lane])
-                device.lost += int(acc.lost[lane])
-                device.loss_event_slices += int(acc.loss_events[lane])
-                device.state = tuple(int(v) for v in acc.final_state[lane])
-                device.slices += int(n_slices)
+            rows = slice(base, base + len(block))
+            self.totals[rows] += acc.totals.T
+            self.command_counts[rows] += acc.command_counts
+            self.provider_occupancy[rows] += acc.provider_occupancy
+            for device, arrivals, serviced, lost, loss_events, state in zip(
+                block,
+                acc.arrivals.tolist(),
+                acc.serviced.tolist(),
+                acc.lost.tolist(),
+                acc.loss_events.tolist(),
+                acc.final_state.tolist(),
+            ):
+                device.arrivals += arrivals
+                device.serviced += serviced
+                device.lost += lost
+                device.loss_event_slices += loss_events
+                device.state = tuple(state)
+                device.slices += n_slices
 
 
 def _step_device_loop(

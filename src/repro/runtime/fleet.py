@@ -101,6 +101,12 @@ class Device:
         :class:`~repro.sim.trace_sim.NearestArrivalTracker`).
     state:
         Current ``(provider, requester, queue)`` indices.
+    totals / command_counts / provider_occupancy:
+        Running per-metric totals, per-command counts and per-provider-
+        state occupancy.  While a controller grouping lives, a grouped
+        device's three arrays are row views of its batch's columns and
+        are updated in place; rebinding one from outside detaches the
+        device until the next regroup.
     """
 
     device_id: str

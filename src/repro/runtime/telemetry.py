@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import json
 import os
+from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from repro import faults
 from repro.runtime.fleet import Device, Fleet
@@ -102,46 +105,54 @@ def device_record(device: Device) -> dict:  # repro-lint: schema=DEVICE_RECORD_F
 _COUNTER_FIELDS = ("arrivals", "serviced", "lost", "loss_event_slices")
 
 
-def _fold_sum(series) -> float:
+def _fold_sum(values: np.ndarray) -> float:
     """Sum floats strictly left to right, one rounding per addition.
 
     Builtin :func:`sum` switched to compensated summation in Python
     3.12, so ``sum([0.1] * 10)`` is ``1.0`` there but
-    ``0.9999999999999999`` on 3.10/3.11.  The plain fold gives the
-    3.11 value on every interpreter, keeping fleet telemetry floats
-    identical across the supported Python versions.
+    ``0.9999999999999999`` on 3.10/3.11.  ``np.add.accumulate`` stores
+    every partial sum, so it cannot reassociate; seeded with ``0.0`` it
+    is exactly the plain ``total = 0.0; total += value`` loop, signed
+    zeros included, and gives the 3.11 value on every interpreter.
     """
-    total = 0.0
-    for value in series:
-        total += value
-    return total
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-def _aggregate(stats) -> tuple[dict, dict]:
-    """Fold per-device ``(averages, counter-tuple)`` pairs into fleet
-    aggregates.
-
-    One shared reduction for both snapshot producers — the in-process
-    :func:`snapshot` and the daemon-side :func:`snapshot_from_records`
-    — so a sharded run's fleet-level floats associate *exactly* like a
-    single-process run's (part of the service byte-identity contract).
-    """
-    values: dict[str, list[float]] = {}
-    counters = {name: 0 for name in _COUNTER_FIELDS}
-    for averages, device_counters in stats:
-        for name, value in averages.items():
-            values.setdefault(name, []).append(value)
-        for name, value in zip(_COUNTER_FIELDS, device_counters):
-            counters[name] += value
-    metrics = {
-        name: {
-            "mean": _fold_sum(series) / len(series),
-            "min": min(series),
-            "max": max(series),
-        }
-        for name, series in values.items()
+def _layout_positions(layouts: list) -> dict:
+    """Fleet positions of each distinct metric layout, in order of first
+    appearance (one layout per cost model the fleet carries)."""
+    return {
+        layout: [i for i, other in enumerate(layouts) if other == layout]
+        for layout in dict.fromkeys(layouts)
     }
-    return metrics, counters
+
+
+def _aggregate(columns) -> dict:
+    """Fold per-layout metric-average columns into fleet aggregates.
+
+    ``columns`` holds one ``(metric_names, positions, averages)`` triple
+    per metric layout: ``averages[i, j]`` is metric ``j`` of the device
+    at fleet position ``positions[i]``.  Each metric is reduced over the
+    devices that carry it, in fleet order.  One shared reduction for
+    both snapshot producers — the in-process :func:`snapshot` and the
+    daemon-side :func:`snapshot_from_records` — so a sharded run's
+    fleet-level floats associate *exactly* like a single-process run's
+    (part of the service byte-identity contract).
+    """
+    parts: dict[str, list] = {}
+    for names, positions, averages in columns:
+        for j, name in enumerate(names):
+            parts.setdefault(name, []).append((positions, averages[:, j]))
+    metrics = {}
+    for name, carriers in parts.items():
+        order = np.argsort(np.concatenate([p for p, _ in carriers]))
+        values = np.concatenate([v for _, v in carriers])[order]
+        metrics[name] = {
+            "mean": _fold_sum(values) / len(values),
+            "min": float(values.min()),
+            "max": float(values.max()),
+        }
+    return metrics
 
 
 def snapshot(  # repro-lint: schema=SNAPSHOT_FIELDS
@@ -151,26 +162,33 @@ def snapshot(  # repro-lint: schema=SNAPSHOT_FIELDS
 
     Per-metric aggregates are computed over the devices that register
     the metric (heterogeneous fleets may not share cost models), in
-    insertion order; counters are fleet-wide sums.
+    insertion order; counters are fleet-wide sums.  Each metric layout's
+    totals are stacked and divided by ``slices`` as one column (0.0 for
+    a device that has not stepped yet), exactly as
+    :attr:`~repro.runtime.fleet.Device.averages` divides them.
     """
-    metrics, counters = _aggregate(
-        (
-            device.averages,
-            (
-                device.arrivals,
-                device.serviced,
-                device.lost,
-                device.loss_event_slices,
-            ),
-        )
-        for device in fleet
-    )
+    devices = list(fleet)
+    layouts = [device.metric_names for device in devices]
+    totals = [device.totals for device in devices]
+    slices = [device.slices for device in devices]
+    columns = []
+    for names, positions in _layout_positions(layouts).items():
+        stacked = np.concatenate([totals[i] for i in positions])
+        stacked = stacked.reshape(len(positions), len(names))
+        divisor = np.array([slices[i] for i in positions], dtype=np.int64)
+        divisor = divisor[:, None]
+        averages = np.zeros_like(stacked)
+        np.divide(stacked, divisor, out=averages, where=divisor != 0)
+        columns.append((names, positions, averages))
     record = {
         "tick": int(tick),
-        "n_devices": len(fleet),
-        "fleet_slices": fleet.total_slices,
-        "metrics": metrics,
-        "counters": counters,
+        "n_devices": len(devices),
+        "fleet_slices": sum(slices),
+        "metrics": _aggregate(columns),
+        "counters": {
+            name: sum(map(attrgetter(name), devices))
+            for name in _COUNTER_FIELDS
+        },
     }
     if per_device:
         record["devices"] = [device_record(device) for device in fleet]
@@ -188,19 +206,26 @@ def snapshot_from_records(  # repro-lint: schema=SNAPSHOT_FIELDS
     reduction as :func:`snapshot` — so for equal device states the two
     producers emit byte-identical records.
     """
-    metrics, counters = _aggregate(
+    layouts = [tuple(record["averages"]) for record in records]
+    columns = [
         (
-            record["averages"],
-            tuple(record[name] for name in _COUNTER_FIELDS),
+            names,
+            positions,
+            np.array(
+                [list(records[i]["averages"].values()) for i in positions],
+                dtype=np.float64,
+            ),
         )
-        for record in records
-    )
+        for names, positions in _layout_positions(layouts).items()
+    ]
     record = {
         "tick": int(tick),
         "n_devices": len(records),
         "fleet_slices": sum(int(r["slices"]) for r in records),
-        "metrics": metrics,
-        "counters": counters,
+        "metrics": _aggregate(columns),
+        "counters": {
+            name: sum(r[name] for r in records) for name in _COUNTER_FIELDS
+        },
     }
     if per_device:
         record["devices"] = list(records)
