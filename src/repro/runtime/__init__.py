@@ -76,6 +76,7 @@ or, from the command line::
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
     checkpoint_payload,
+    encode_checkpoint,
     load_checkpoint,
     save_checkpoint,
     write_checkpoint,
@@ -147,6 +148,7 @@ __all__ = [
     "costs_signature",
     "device_record",
     "device_rng",
+    "encode_checkpoint",
     "load_checkpoint",
     "parse_fleet_spec",
     "policy_signature",

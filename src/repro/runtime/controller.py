@@ -38,8 +38,6 @@ determinism note on :class:`~repro.runtime.policy_cache.PolicyCache`.)
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.policies.base import Observation
@@ -127,29 +125,15 @@ _ACCUMULATORS = ("totals", "command_counts", "provider_occupancy")
 def _adopt_rows(devices: list[Device]) -> list[np.ndarray]:
     """Stack the devices' accumulator arrays into (n, k) columns, one
     per name in :data:`_ACCUMULATORS`, and rebind each device's arrays
-    to its row views.
-
-    A row keeps its device's own dtype object: pickle memoizes dtypes
-    by identity, so a resumed device (whose arrays share the unpickled
-    dtype) must not switch to the builtin one, or its checkpoint bytes
-    would change.
-    """
-    columns, foreign = [], []
+    to its row views."""
+    columns = []
     for name in _ACCUMULATORS:
         owned = [getattr(device, name) for device in devices]
-        column = np.concatenate(owned).reshape(len(owned), len(owned[0]))
-        columns.append(column)
-        foreign.extend(
-            (i, name, array.dtype)
-            for i, array in enumerate(owned)
-            if array.dtype is not column.dtype and array.dtype == column.dtype
-        )
+        columns.append(np.concatenate(owned).reshape(len(owned), -1))
     for device, totals, counts, occupancy in zip(devices, *columns):
         device.totals = totals
         device.command_counts = counts
         device.provider_occupancy = occupancy
-    for i, name, dtype in foreign:
-        setattr(devices[i], name, getattr(devices[i], name).view(dtype))
     return columns
 
 
@@ -373,16 +357,6 @@ class FleetController:
         pin* are bitwise reproducible regardless of grouping; changing
         the pin regroups each lane's float partial sums, so totals are
         only guaranteed to match across runs that share the value.
-    record_timing:
-        Stamp each emitted telemetry record with per-tick wall-clock
-        (``timing``: tick/step/solve seconds).  Opt-in because wall
-        times are *not* a pure function of fleet state — enabling it
-        forfeits byte-identical telemetry across machines and resumed
-        runs (the determinism suite's contract).
-    policy_cache:
-        The :class:`~repro.runtime.policy_cache.PolicyCache` adaptive
-        devices solve through, if any — lets ``record_timing``
-        attribute a tick's wall-clock to stepping vs LP solving.
     telemetry:
         Optional sink with a ``record(dict)`` method
         (:class:`~repro.runtime.telemetry.MemoryTelemetry` /
@@ -425,8 +399,6 @@ class FleetController:
         telemetry_every: int = 1,
         telemetry_per_device: bool = False,
         chunk_slices: int | None = None,
-        record_timing: bool = False,
-        policy_cache=None,
         initial_tick: int = 0,
     ):
         slices_per_tick = int(slices_per_tick)
@@ -469,9 +441,6 @@ class FleetController:
         else:
             self._batch_backend = get_backend(backend)
         self._chunk_slices = chunk_slices
-        self._record_timing = bool(record_timing)
-        self._policy_cache = policy_cache
-        self._last_timing: dict | None = None
         self._telemetry = telemetry
         self._telemetry_every = telemetry_every
         self._telemetry_per_device = bool(telemetry_per_device)
@@ -522,14 +491,6 @@ class FleetController:
     def chunk_slices(self) -> int:
         """The pinned chunk length grouped batches step with."""
         return self._chunk_slices
-
-    @property
-    def last_timing(self) -> dict | None:
-        """Wall-clock of the most recent tick (None before any tick or
-        when ``record_timing`` is off): ``tick_seconds`` total,
-        ``step_seconds`` stepping, ``solve_seconds`` LP time the policy
-        cache attributed during the tick."""
-        return self._last_timing
 
     def grouping(self) -> dict:
         """How the current fleet splits into batches (for reporting)."""
@@ -605,9 +566,7 @@ class FleetController:
         self._loop_tables = loop_tables
         self._groups_version = self._fleet.version
 
-    def step_tick(  # repro-lint: schema=repro.runtime.telemetry:SNAPSHOT_FIELDS
-        self,
-    ) -> dict | None:
+    def step_tick(self) -> dict | None:
         """Advance every device by one tick; maybe emit telemetry.
 
         Returns the telemetry record when this tick emitted one (the
@@ -616,38 +575,14 @@ class FleetController:
         if len(self._fleet) == 0:
             raise ValidationError("cannot step an empty fleet")
         self._refresh_groups()
-        timing = self._record_timing
-        if timing:
-            solve_before = (
-                self._policy_cache.stats.solve_seconds
-                if self._policy_cache is not None
-                else 0.0
-            )
-            tick_start = time.perf_counter()
         for group in self._vector_groups:
             group.step(self._slices_per_tick)
         for device in self._loop_devices:
             tables = self._loop_tables[device.device_id]
             _step_device_loop(device, tables, self._slices_per_tick)
-        if timing:
-            tick_seconds = time.perf_counter() - tick_start
-            solve_seconds = (
-                self._policy_cache.stats.solve_seconds - solve_before
-                if self._policy_cache is not None
-                else 0.0
-            )
-            # Adaptive-device solves run *inside* the stepping loop, so
-            # the split subtracts them back out of the step share.
-            self._last_timing = {
-                "tick_seconds": tick_seconds,
-                "step_seconds": max(tick_seconds - solve_seconds, 0.0),
-                "solve_seconds": solve_seconds,
-            }
         self._tick += 1
         if self._tick % self._telemetry_every == 0:
             record = self.snapshot()
-            if timing:
-                record["timing"] = dict(self._last_timing)
             if self._telemetry is not None:
                 self._telemetry.record(record)
             return record
@@ -678,8 +613,6 @@ class FleetController:
         telemetry_every: int | None = None,
         telemetry_per_device: bool | None = None,
         backend: str | None = None,
-        record_timing: bool = False,
-        policy_cache=None,
     ) -> "FleetController":
         """Rebuild a controller from a checkpoint and continue.
 
@@ -690,9 +623,8 @@ class FleetController:
         ``chunk_slices`` pin is always restored (overriding it would
         silently regroup the resumed run's float partial sums and break
         the byte-identity contract with the uninterrupted run).  The
-        payload is read by key, so a checkpoint from an older build,
-        which also records the retired uniform-producer setting,
-        resumes unchanged.
+        payload is read by key, so fields this build does not know
+        (such as a retired uniform-producer setting) are ignored.
         """
         from repro.runtime.checkpoint import load_checkpoint
 
@@ -713,8 +645,6 @@ class FleetController:
                 else telemetry_per_device
             ),
             chunk_slices=payload.get("chunk_slices"),
-            record_timing=record_timing,
-            policy_cache=policy_cache,
             initial_tick=payload["tick"],
         )
         return controller

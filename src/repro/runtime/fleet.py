@@ -698,6 +698,7 @@ def _build_group(
         from repro.runtime.streams import TraceStream
 
         trace_counts = stream_from_spec(workload, device_rng(seed, 0))
+    agent = None
     for i in range(count):
         rng = device_rng(seed, i)
         stream = None
@@ -708,10 +709,13 @@ def _build_group(
             )
         elif workload is not None:
             stream = stream_from_spec(workload, rng)
-        agent = _build_agent(
-            agent_spec, system, costs, gamma, p0, cache, lp_backend,
-            group_policy,
-        )
+        # A stationary agent is a stateless decision table, so the
+        # whole group runs one; stateful agents are built per device.
+        if not isinstance(agent, StationaryAgent):
+            agent = _build_agent(
+                agent_spec, system, costs, gamma, p0, cache, lp_backend,
+                group_policy,
+            )
         fleet.add_device(
             f"{prefix}-{i:04d}",
             system,

@@ -31,6 +31,7 @@ Shipped implementations:
 from __future__ import annotations
 
 import abc
+import sys
 
 import numpy as np
 
@@ -84,7 +85,10 @@ class TraceStream(ArrivalStream):
     """
 
     def __init__(self, counts, cycle: bool = True):
-        arr = np.asarray(counts, dtype=np.int64).reshape(-1)
+        arr = np.asarray(counts, dtype=np.int64)
+        if arr.ndim != 1 or arr.flags.writeable:
+            arr = arr.reshape(-1).copy()
+            arr.flags.writeable = False
         if arr.size == 0:
             raise ValidationError("TraceStream needs a non-empty count array")
         if np.any(arr < 0):
@@ -92,6 +96,14 @@ class TraceStream(ArrivalStream):
         self._counts = arr
         self._cycle = bool(cycle)
         self._position = 0
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling drops the read-only flag; restore it (and intern the
+        # keys, as pickle's default restore does) so counts stay shared.
+        self.__dict__.update(
+            {sys.intern(key): value for key, value in state.items()}
+        )
+        self._counts.flags.writeable = False
 
     @classmethod
     def from_trace(
@@ -112,32 +124,14 @@ class TraceStream(ArrivalStream):
 
     @property
     def counts(self) -> np.ndarray:
-        """The backing count array (shared — treat as read-only).
+        """The backing count array (read-only, so it can be shared).
 
         Lets many devices replay one discretized trace without each
         re-reading the file: build one stream, hand its ``counts`` to
-        ``TraceStream(counts)`` per device.
+        ``TraceStream(counts)`` per device (writeable input is copied
+        once).  Checkpoints store a read-only array once per content.
         """
         return self._counts
-
-    def rebind_counts(self, counts: np.ndarray) -> None:
-        """Swap the backing array for an equal one (cursor unchanged).
-
-        Pickling a fleet across process boundaries forks the shared
-        count array into per-shard copies; the daemon rebinds gathered
-        streams onto the canonical build-time array so a gathered
-        fleet's checkpoint pickles with the same object sharing — and
-        therefore the same bytes — as a single-process fleet's.  The
-        replacement must be value-equal; this never changes replay.
-        """
-        arr = np.asarray(counts, dtype=np.int64).reshape(-1)
-        if arr.shape != self._counts.shape or not np.array_equal(
-            arr, self._counts
-        ):
-            raise ValidationError(
-                "rebind_counts requires a value-equal count array"
-            )
-        self._counts = arr
 
     def next_counts(self, n_slices: int) -> np.ndarray:
         n_slices = self._check_n(n_slices)

@@ -25,13 +25,12 @@ re-partitioning, and across mid-run worker restarts:
 * device trajectories — per-device RNG streams and the pinned chunk
   length make stepping bitwise grouping-invariant;
 * fleet aggregates — one shared reduction, fed in one global order;
-* checkpoint pickles — devices are gathered back in registration
-  order and re-attached to the *canonical* shared objects captured at
-  registration (group-shared systems, costs, stationary agents, trace
-  count arrays), so the gathered fleet pickles the same object graph
-  a single-process fleet would.  Stateless stationary agents come
-  from the registry; stateful agents (timeout, adaptive) keep the
-  worker-evolved copy, whose state is itself deterministic.
+* checkpoints — devices are gathered back in registration order and
+  written by :func:`~repro.runtime.checkpoint.encode_checkpoint`,
+  whose bytes depend on content alone: shared models go once into a
+  content-keyed table and each device is its own record, so the
+  per-shard copies a gathered fleet holds write the same file as the
+  single-process fleet's shared objects.
 
 Documented exception: adaptive devices sharing a *warm-starting*
 policy cache keep their existing caveat (see
@@ -50,21 +49,19 @@ import socket
 import tempfile
 import time
 from collections import OrderedDict
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro import faults
 from repro.faults.plan import FaultPlan
-from repro.policies.base import PolicyAgent, StationaryAgent
+from repro.policies.base import PolicyAgent
 from repro.runtime.checkpoint import (
     checkpoint_payload,
     write_checkpoint,
 )
 from repro.runtime.controller import (
     FLEET_CHUNK_SLICES,
-    FleetController,
     resolve_backend_name,
 )
 from repro.runtime.fleet import (
@@ -74,7 +71,6 @@ from repro.runtime.fleet import (
     build_group_devices,
 )
 from repro.runtime.policy_cache import PolicyCache
-from repro.runtime.streams import TraceStream
 from repro.runtime.telemetry import device_record, snapshot_from_records
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -127,59 +123,6 @@ class _WorkerGone(Exception):
         super().__init__(f"shard {index} {why}")
         self.index = index
         self.why = why
-
-
-def _normalize_dtypes(obj, seen: set) -> None:
-    """Point every reachable ndarray at the cached builtin dtype object.
-
-    Unpickling (numpy's dtype reduce passes ``copy=True``) gives each
-    shard's arrays their own dtype *object*; a single-process fleet's
-    arrays all share one.  Pickle memoizes by identity, so without
-    this pass a gathered fleet would serialize one dtype per shard
-    where the reference run serializes one total — different bytes
-    for equal content.  Mutating ``arr.dtype`` in place is value-
-    preserving (same itemsize, same byte order) and touches nothing
-    else in the graph.
-    """
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        obj.dtype = np.dtype(obj.dtype.str)
-        return
-    if isinstance(obj, np.random.Generator):
-        seed_seq = obj.bit_generator.seed_seq
-        pool = getattr(seed_seq, "pool", None)
-        if isinstance(pool, np.ndarray):
-            pool.dtype = np.dtype(pool.dtype.str)
-        return
-    if isinstance(obj, dict):
-        for value in obj.values():
-            _normalize_dtypes(value, seen)
-        return
-    if isinstance(obj, (list, tuple)):
-        for value in obj:
-            _normalize_dtypes(value, seen)
-        return
-    attributes = getattr(obj, "__dict__", None)
-    if attributes:
-        _normalize_dtypes(attributes, seen)
-
-
-@dataclass
-class _CanonicalEntry:
-    """The shared objects a device referenced at registration time.
-
-    Pickling a partition into a worker forks every shared object into
-    a per-shard copy; this registry is how :meth:`gather_fleet`
-    restores the original sharing so a gathered fleet's checkpoint
-    pickles byte-identically to a single-process fleet's.
-    """
-
-    system: object
-    costs: object
-    agent: PolicyAgent | None
-    trace_counts: object
 
 
 @dataclass
@@ -319,7 +262,9 @@ class ShardSupervisor:
         self._parked: dict[int, dict] = {}
         self._order: list[str] = []
         self._owner: dict[str, int] = {}
-        self._canonical: dict[str, _CanonicalEntry] = {}
+        # device id -> registration-time (system, costs), for building
+        # pushed agents without a worker round trip.
+        self._models: dict[str, tuple] = {}
         self._version = 0
         self._tick = 0
         self._restarts = 0
@@ -375,10 +320,10 @@ class ShardSupervisor:
 
     def canonical_model(self, device_id: str):
         """The registration-time ``(system, costs)`` of one device."""
-        entry = self._canonical.get(str(device_id))
-        if entry is None:
+        model = self._models.get(str(device_id))
+        if model is None:
             raise ValidationError(f"unknown device id {device_id!r}")
-        return entry.system, entry.costs
+        return model
 
     def info(self) -> dict:
         """Operational summary (the ``info`` protocol result)."""
@@ -424,24 +369,6 @@ class ShardSupervisor:
                 f"trace/synthetic stream to serve this fleet"
             )
 
-    def _register_canonical(self, device: Device) -> None:
-        agent = (
-            device.agent
-            if isinstance(device.agent, StationaryAgent)
-            else None
-        )
-        trace_counts = (
-            device.stream.counts
-            if isinstance(device.stream, TraceStream)
-            else None
-        )
-        self._canonical[device.device_id] = _CanonicalEntry(
-            system=device.system,
-            costs=device.costs,
-            agent=agent,
-            trace_counts=trace_counts,
-        )
-
     def _spawn(self, index: int, devices: list, tick: int) -> _WorkerHandle:
         config = ShardConfig(
             index=index,
@@ -484,7 +411,7 @@ class ShardSupervisor:
         for device in devices:
             self._check_distributable(device)
         for device, shard in zip(devices, self._partitioner.assign(devices)):
-            self._register_canonical(device)
+            self._models[device.device_id] = (device.system, device.costs)
             self._order.append(device.device_id)
             self._owner[device.device_id] = shard
             partitions[shard].append(device)
@@ -761,7 +688,7 @@ class ShardSupervisor:
             self._check_distributable(device)
         per_shard: dict[int, list[Device]] = {}
         for device, shard in zip(devices, self._partitioner.assign(devices)):
-            self._register_canonical(device)
+            self._models[device.device_id] = (device.system, device.costs)
             self._order.append(device.device_id)
             self._owner[device.device_id] = shard
             per_shard.setdefault(shard, []).append(device)
@@ -781,7 +708,7 @@ class ShardSupervisor:
             raise ValidationError(f"unknown device id {device_id!r}")
         self._call(shard, "remove_device", device_id)
         del self._owner[device_id]
-        del self._canonical[device_id]
+        del self._models[device_id]
         self._order.remove(device_id)
         self._version += 1
 
@@ -799,8 +726,6 @@ class ShardSupervisor:
                 )
         per_shard: dict[int, list[tuple]] = {}
         for device_id, agent in pairs:
-            entry = self._canonical[device_id]
-            entry.agent = agent if isinstance(agent, StationaryAgent) else None
             per_shard.setdefault(self._owner[device_id], []).append(
                 (device_id, agent)
             )
@@ -810,70 +735,47 @@ class ShardSupervisor:
             self._call(shard, "replace_agents", per_shard[shard])
         self._version += len(pairs)
 
-    def collect_records(self) -> list[dict]:
-        """Every device's telemetry record, in global registration order.
+    def _in_fleet_order(self, command: str, key, parked) -> list:
+        """Every shard's per-device ``command`` replies, in global
+        registration order.
 
-        Quarantined shards contribute the records of their *parked*
-        (last-spooled) devices — stale but present, so fleet telemetry
-        keeps its full device census while degraded.
+        Quarantined shards contribute ``parked(device)`` for each of
+        their *parked* (last-spooled) devices — stale but present, so
+        the fleet keeps its full device census while degraded.
         """
         self._require_started()
-        by_id: dict[str, dict] = {}
+        by_id: dict[str, object] = {}
         for index in range(self._n_shards):
             if self._workers[index] is not None:
                 try:
-                    for record in self._call(index, "records", None):
-                        by_id[record["id"]] = record
+                    for item in self._call(index, command, None):
+                        by_id[key(item)] = item
                     continue
                 except ValidationError:
-                    # Quarantined mid-collection: fall through to the
-                    # parked state like any other quarantined shard.
+                    # Quarantined mid-call: fall through to the parked
+                    # state like any other quarantined shard.
                     if self._workers[index] is not None:
                         raise
             for device in self._parked[index]["devices"].values():
-                by_id[device.device_id] = device_record(device)
+                by_id[device.device_id] = parked(device)
         return [by_id[device_id] for device_id in self._order]
 
-    def gather_fleet(self) -> Fleet:
-        """Reassemble the full fleet in-process, canonicalized.
+    def collect_records(self) -> list[dict]:
+        """Every device's telemetry record, in global registration order."""
+        return self._in_fleet_order("records", itemgetter("id"), device_record)
 
-        Devices come back in global registration order with their
-        registration-time shared objects re-attached (see the module
-        docstring), and the fleet's version counter set to the
-        mirrored single-process value — so pickling the result is
-        byte-identical to pickling the uninterrupted fleet.
+    def gather_fleet(self) -> Fleet:
+        """Reassemble the full fleet in-process.
+
+        Devices come back in global registration order and the fleet's
+        version counter is set to the mirrored single-process value —
+        so its checkpoint is byte-identical to the uninterrupted
+        fleet's.
         """
-        self._require_started()
-        by_id: dict[str, Device] = {}
-        for index in range(self._n_shards):
-            if self._workers[index] is not None:
-                try:
-                    for device in self._call(index, "gather", None):
-                        by_id[device.device_id] = device
-                    continue
-                except ValidationError:
-                    if self._workers[index] is not None:
-                        raise
-            for device in self._parked[index]["devices"].values():
-                by_id[device.device_id] = device
         fleet = Fleet()
-        seen: set = set()
-        for device_id in self._order:
-            device = by_id[device_id]
-            entry = self._canonical[device_id]
-            device.system = entry.system
-            device.costs = entry.costs
-            # The metric-name tuple is rebuilt per device at
-            # construction from the (shared) costs strings; rebuild it
-            # the same way so the strings memoize identically.
-            device.metric_names = tuple(entry.costs.metric_names)
-            if entry.agent is not None:
-                device.agent = entry.agent
-            if entry.trace_counts is not None and isinstance(
-                device.stream, TraceStream
-            ):
-                device.stream.rebind_counts(entry.trace_counts)
-            _normalize_dtypes(device, seen)
+        for device in self._in_fleet_order(
+            "gather", attrgetter("device_id"), lambda device: device
+        ):
             fleet.adopt_device(device)
         fleet.version = self._version
         return fleet
@@ -889,7 +791,7 @@ class ShardSupervisor:
         The payload goes through the same
         :func:`~repro.runtime.checkpoint.checkpoint_payload` producer
         as :meth:`FleetController.save_checkpoint`, with the gathered
-        canonical fleet — resumable by either the single-process
+        fleet — resumable by either the single-process
         controller or a daemon with any shard count.
         """
         fleet = self.gather_fleet()
@@ -904,21 +806,6 @@ class ShardSupervisor:
                 telemetry_every,
                 telemetry_per_device,
             ),
-        )
-
-    def as_controller(self, **kwargs) -> FleetController:
-        """A single-process controller over the gathered fleet.
-
-        Mostly a testing aid: proves the gathered state is exactly
-        what the single-process path would hold.
-        """
-        return FleetController(
-            self.gather_fleet(),
-            slices_per_tick=self._slices_per_tick,
-            backend=self._backend,
-            chunk_slices=self._chunk_slices,
-            initial_tick=self._tick,
-            **kwargs,
         )
 
 
@@ -975,7 +862,9 @@ class FleetDaemon:
     many times the socket dies.
 
     Note the classic ``AF_UNIX`` constraint: socket paths are limited
-    to ~100 bytes — keep them short (``/tmp/...``).
+    to ~100 bytes — keep them short (``/tmp/...``).  The socket is
+    bound as a hidden sibling (``.NAME.PID``, a few bytes longer) and
+    renamed onto the path once it listens.
     """
 
     def __init__(
@@ -1021,9 +910,17 @@ class FleetDaemon:
         if not self._supervisor.started:
             self._supervisor.start(Fleet())
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        # Publish the path only once it listens: a client that waits
+        # for the path may then connect at once.
+        staging = self._socket_path.with_name(
+            f".{self._socket_path.name}.{os.getpid()}"
+        )
+        published = False
         try:
-            server.bind(str(self._socket_path))
+            server.bind(str(staging))
             server.listen(1)
+            os.replace(staging, self._socket_path)
+            published = True
             self._running = True
             while self._running:
                 client, _ = server.accept()
@@ -1038,8 +935,10 @@ class FleetDaemon:
                     channel.close()
         finally:
             server.close()
-            if self._socket_path.exists():
-                self._socket_path.unlink()
+            try:
+                (self._socket_path if published else staging).unlink()
+            except FileNotFoundError:
+                pass
             # Workers first: a telemetry sink that fails to close must
             # never leave worker processes stranded.
             try:

@@ -27,7 +27,7 @@ Subcommands:
   ``--checkpoint`` saves resumable state each run and ``--resume``
   continues a saved campaign; ``--backend`` picks grouped batch
   stepping (``auto``/``vector``/``jit``) vs the per-device loop and
-  ``--timing`` stamps telemetry with per-tick wall-clock;
+  ``--timing`` prints the last tick's wall-clock;
 * ``serve SPEC.json --socket /tmp/fleet.sock --shards 4`` — run the
   sharded fleet daemon (:mod:`repro.service`): the fleet is dealt
   across worker processes by device-group content signature and
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -262,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--timing",
         action="store_true",
-        help="stamp telemetry with per-tick wall-clock (step/solve "
-        "split); forfeits byte-identical telemetry across machines",
+        help="print the last tick's wall-clock (step/solve split)",
     )
     p_fleet.add_argument(
         "--lp-backend",
@@ -841,7 +841,6 @@ def _cmd_fleet(args) -> int:
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device or None,
                 backend=args.backend if args.backend != "auto" else None,
-                record_timing=args.timing,
             )
             cache = None
             if args.chunk_slices is not None:
@@ -873,8 +872,6 @@ def _cmd_fleet(args) -> int:
                 telemetry_every=args.telemetry_every,
                 telemetry_per_device=args.per_device,
                 chunk_slices=args.chunk_slices,
-                record_timing=args.timing,
-                policy_cache=cache,
             )
             print(
                 f"built fleet {raw.get('name', 'unnamed')!r}: "
@@ -903,7 +900,15 @@ def _cmd_fleet(args) -> int:
                 f"{cache.stats.warm_hinted} warm-started"
             )
 
-        controller.run(args.ticks)
+        def solved() -> float:
+            return cache.stats.solve_seconds if cache is not None else 0.0
+
+        tick_seconds = None
+        for _ in range(args.ticks):
+            solve_before, start = solved(), time.perf_counter()
+            controller.step_tick()
+            tick_seconds = time.perf_counter() - start
+            solve_seconds = solved() - solve_before
 
         record = controller.snapshot(per_device=False)
         rows = [
@@ -925,12 +930,13 @@ def _cmd_fleet(args) -> int:
             f"requests: {counters['arrivals']} arrived, "
             f"{counters['serviced']} serviced, {counters['lost']} lost"
         )
-        if args.timing and controller.last_timing is not None:
-            timing = controller.last_timing
+        if args.timing and tick_seconds is not None:
+            # Adaptive-device solves run inside the tick, so the step
+            # share is what is left once they are subtracted.
             print(
-                f"last tick: {timing['tick_seconds']:.3f}s "
-                f"({timing['step_seconds']:.3f}s stepping, "
-                f"{timing['solve_seconds']:.3f}s solving)"
+                f"last tick: {tick_seconds:.3f}s "
+                f"({max(tick_seconds - solve_seconds, 0.0):.3f}s stepping, "
+                f"{solve_seconds:.3f}s solving)"
             )
         if args.checkpoint:
             controller.save_checkpoint(args.checkpoint)

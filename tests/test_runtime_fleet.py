@@ -32,7 +32,9 @@ from repro.runtime import (
     MMPP2Stream,
     PeriodicBurstStream,
     build_fleet,
+    checkpoint_payload,
     device_rng,
+    encode_checkpoint,
     load_checkpoint,
     snapshot,
 )
@@ -596,6 +598,76 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="non-checkpointable"):
             controller.save_checkpoint(tmp_path / "fleet.ckpt")
 
+    def test_content_equal_models_encode_like_shared_ones(self):
+        """Checkpoint bytes depend on model content, not object sharing."""
+        from repro.systems import example_system
+
+        def fleet_of(bundles):
+            fleet = Fleet()
+            for i, bundle in enumerate(bundles):
+                policy = eager_markov_policy(bundle.system, "s_on", "s_off")
+                fleet.add_device(
+                    f"d-{i}",
+                    bundle.system,
+                    bundle.costs,
+                    StationaryPolicyAgent(bundle.system, policy),
+                    rng=device_rng(3, i),
+                )
+            return fleet
+
+        shared = Fleet()
+        bundle = example_system.build()
+        agent = StationaryPolicyAgent(
+            bundle.system, eager_markov_policy(bundle.system, "s_on", "s_off")
+        )
+        for i in range(4):
+            shared.add_device(
+                f"d-{i}", bundle.system, bundle.costs, agent, rng=device_rng(3, i)
+            )
+        distinct = fleet_of([example_system.build() for _ in range(4)])
+        assert len({id(device.system) for device in distinct}) == 4
+        blobs = []
+        for fleet in (shared, distinct):
+            FleetController(fleet, slices_per_tick=40).run(2)
+            blobs.append(
+                encode_checkpoint(
+                    checkpoint_payload(fleet, 2, 40, "auto", 256, 1, False)
+                )
+            )
+        assert blobs[0] == blobs[1]
+
+    def test_resumed_devices_share_their_models(
+        self, example_bundle, eager_policy, tmp_path
+    ):
+        controller = FleetController(
+            _mixed_fleet(example_bundle, eager_policy), slices_per_tick=60
+        )
+        controller.run(1)
+        path = tmp_path / "fleet.ckpt"
+        controller.save_checkpoint(path)
+        resumed = list(FleetController.resume(path).fleet)
+        assert len({id(device.system) for device in resumed}) == 1
+        assert len({id(device.costs) for device in resumed}) == 1
+        stationary = [
+            device.agent
+            for device in resumed
+            if isinstance(device.agent, StationaryPolicyAgent)
+        ]
+        assert len({id(agent) for agent in stationary}) == 1
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        import pickle
+
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(
+            pickle.dumps(
+                {"format": "repro-fleet-checkpoint", "version": 1},
+                protocol=4,
+            )
+        )
+        with pytest.raises(ValidationError, match="version 1 is not"):
+            load_checkpoint(path)
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "not_a_checkpoint.ckpt"
         path.write_bytes(b"garbage")
@@ -606,6 +678,25 @@ class TestCheckpoint:
 
 
 class TestBuildFleet:
+    def test_stationary_agents_are_shared_per_group(self):
+        switch = {"active": "go_active", "sleep": "go_idle"}
+        agents = {
+            "opt": {"type": "optimal", "penalty_bound": 0.05},
+            "eager": dict(switch, type="eager"),
+            "const": {"type": "constant", "command": "go_active"},
+            "tmo": dict(switch, type="timeout", timeout=20),
+        }
+        groups = [
+            {"id": name, "count": 3, "system": "disk_drive", "agent": agent}
+            for name, agent in agents.items()
+        ]
+        fleet, _ = build_fleet({"groups": groups})
+        distinct = {name: set() for name in agents}
+        for device in fleet:
+            distinct[device.device_id.split("-")[0]].add(id(device.agent))
+        counts = {name: len(ids) for name, ids in distinct.items()}
+        assert counts == {"opt": 1, "eager": 1, "const": 1, "tmo": 3}
+
     def test_example_spec_file_builds_and_steps(self):
         from pathlib import Path
 

@@ -7,7 +7,7 @@ a sharded run's device-level telemetry and checkpoints are
 spec and seed — for any shard count, after re-partitioning on resume,
 across mid-run worker kills, and through live membership and policy
 changes.  Telemetry comparisons use the canonical JSON serialization
-(``sort_keys``); checkpoint comparisons use raw pickle bytes, which is
+(``sort_keys``); checkpoint comparisons use raw file bytes, which is
 only meaningful within one interpreter (``PYTHONHASHSEED`` varies
 set iteration order across processes — the CI smoke job covers the
 cross-process telemetry half).
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import threading
 import time
@@ -31,6 +30,7 @@ from repro.runtime import (
     build_fleet,
     build_group_devices,
     checkpoint_payload,
+    encode_checkpoint,
     load_checkpoint,
 )
 from repro.runtime.fleet import group_keys
@@ -183,15 +183,31 @@ def test_sharded_telemetry_matches_single_process(reference, n_shards):
 
 
 def test_checkpoint_bytes_identical_across_shard_counts(tmp_path):
-    controller, _ = _single_process_records(3)
-    expected = pickle.dumps(
-        checkpoint_payload(
-            controller.fleet, 3, SLICES, "auto", 256, 1, True
-        ),
-        protocol=4,
+    from repro.traces.trace import Trace
+
+    trace = tmp_path / "trace.txt"
+    Trace([0.5, 1.5, 1.7, 4.2, 6.1, 9.9], duration=12).save(trace)
+    traced = {
+        "id": "traced",
+        "count": 5,
+        "system": "disk_drive",
+        "agent": {"type": "eager", "active": "go_active", "sleep": "go_idle"},
+        "workload": {"type": "trace", "path": str(trace), "resolution": 1.0},
+    }
+    constant = {
+        "id": "const",
+        "count": 4,
+        "system": "disk_drive",
+        "agent": {"type": "constant", "command": "go_active"},
+    }
+    spec = dict(SPEC, groups=[*SPEC["groups"], traced, constant])
+    controller, _ = _single_process_records(3, spec=spec)
+    expected = encode_checkpoint(
+        checkpoint_payload(controller.fleet, 3, SLICES, "auto", 256, 1, True)
     )
     for n_shards in (1, 2, 3):
-        supervisor = _start_supervisor(n_shards)
+        fleet, _ = build_fleet(spec, base_seed=SEED)
+        supervisor = _start_supervisor(n_shards, fleet=fleet)
         try:
             supervisor.run(3)
             path = tmp_path / f"shards-{n_shards}.ckpt"
@@ -381,6 +397,30 @@ def test_daemon_end_to_end(reference, tmp_path):
     payload = load_checkpoint(checkpoint_path)
     assert payload["tick"] == 6
     assert len(payload["fleet"]) == 18
+
+
+def test_socket_path_appears_only_once_listening(tmp_path, monkeypatch):
+    import socket as socket_module
+
+    # Widen the bind -> listen gap: a daemon that published its path at
+    # bind time would refuse a client that connects as soon as the path
+    # exists.
+    listen = socket_module.socket.listen
+
+    def slow_listen(self, *args):
+        time.sleep(0.3)
+        return listen(self, *args)
+
+    monkeypatch.setattr(socket_module.socket, "listen", slow_listen)
+    socket_path, thread = _run_daemon(tmp_path)
+    raw = socket_module.socket(socket_module.AF_UNIX)
+    raw.connect(socket_path)
+    raw.close()
+    with ServiceClient(socket_path, timeout=60) as client:
+        client.shutdown()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert os.listdir(tmp_path) == []
 
 
 def test_daemon_requires_hello_first(tmp_path):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pickle
 import signal
 import threading
 import time
@@ -32,6 +31,7 @@ from repro.runtime import (
     build_agent_from_spec,
     build_fleet,
     checkpoint_payload,
+    encode_checkpoint,
 )
 from repro.runtime.telemetry import snapshot_from_records
 from repro.service import (
@@ -104,11 +104,8 @@ def reference():
     controller.run(6)
     return {
         "records": _dump(sink.records),
-        "checkpoint": pickle.dumps(
-            checkpoint_payload(
-                controller.fleet, 6, SLICES, "auto", 256, 1, True
-            ),
-            protocol=4,
+        "checkpoint": encode_checkpoint(
+            checkpoint_payload(controller.fleet, 6, SLICES, "auto", 256, 1, True)
         ),
     }
 

@@ -645,41 +645,64 @@ class TestFleetJit:
 
 
 class TestTimingTelemetry:
-    """The opt-in wall-clock stamp (observability satellite)."""
+    """``fleet --timing`` reports wall-clock beside, not inside, telemetry."""
 
-    def _controller(self, **kwargs):
+    def test_cli_timing_prints_last_tick_and_keeps_telemetry_pure(
+        self, tmp_path, capsys
+    ):
+        import json
+        import re
+
+        from repro.tool.cli import main as cli_main
+
+        spec = tmp_path / "fleet.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "groups": [
+                        {
+                            "count": 3,
+                            "system": "example",
+                            "agent": {
+                                "type": "eager",
+                                "active": "s_on",
+                                "sleep": "s_off",
+                            },
+                        }
+                    ]
+                }
+            )
+        )
+        telemetry = tmp_path / "t.jsonl"
+        argv = ["fleet", str(spec), "--ticks", "2", "--slices-per-tick", "50"]
+        assert cli_main(argv + ["--timing", "--telemetry", str(telemetry)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(
+            r"last tick: \d+\.\d{3}s \(\d+\.\d{3}s stepping, "
+            r"0\.000s solving\)",
+            out,
+        ), out
+        timed = telemetry.read_text()
+        assert "timing" not in timed
+        plain = tmp_path / "plain.jsonl"
+        assert cli_main(argv + ["--telemetry", str(plain)]) == 0
+        assert "last tick" not in capsys.readouterr().out
+        assert plain.read_text() == timed
+
+    def test_snapshot_always_stamps_backend(self):
         from repro.runtime import Fleet, FleetController, device_rng
 
         bundle = example_system.build()
         policy = eager_markov_policy(bundle.system, "s_on", "s_off")
         fleet = Fleet()
-        for i in range(3):
-            fleet.add_device(
-                f"dev-{i}",
-                bundle.system,
-                bundle.costs,
-                StationaryPolicyAgent(bundle.system, policy),
-                rng=device_rng(0, i),
-            )
-        return FleetController(fleet, slices_per_tick=100, **kwargs)
-
-    def test_timing_off_by_default(self):
-        controller = self._controller()
-        record = controller.step_tick()
-        assert "timing" not in record
-        assert controller.last_timing is None
-
-    def test_timing_opt_in(self):
-        controller = self._controller(record_timing=True)
-        record = controller.step_tick()
-        timing = record["timing"]
-        assert set(timing) == {"tick_seconds", "step_seconds", "solve_seconds"}
-        assert timing["tick_seconds"] >= timing["step_seconds"] >= 0.0
-        assert timing["solve_seconds"] == 0.0  # no policy cache attached
-        assert controller.last_timing == timing
-
-    def test_snapshot_always_stamps_backend(self):
-        controller = self._controller()
+        fleet.add_device(
+            "dev-0",
+            bundle.system,
+            bundle.costs,
+            StationaryPolicyAgent(bundle.system, policy),
+            rng=device_rng(0, 0),
+        )
+        controller = FleetController(fleet, slices_per_tick=100)
         assert controller.snapshot()["backend"] == controller.resolved_backend
 
 

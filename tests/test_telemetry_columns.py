@@ -12,7 +12,6 @@ record must serialize exactly like it.
 from __future__ import annotations
 
 import json
-import pickle
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from repro.runtime import (
     checkpoint_payload,
     device_record,
     device_rng,
+    encode_checkpoint,
     snapshot,
     snapshot_from_records,
 )
@@ -306,9 +306,8 @@ class TestColumnarAccumulators:
         FleetController(fleet, slices_per_tick=SLICES).run(2)
 
         def payload() -> bytes:
-            return pickle.dumps(
-                checkpoint_payload(fleet, 2, SLICES, "auto", 256, 1, False),
-                protocol=4,
+            return encode_checkpoint(
+                checkpoint_payload(fleet, 2, SLICES, "auto", 256, 1, False)
             )
 
         viewed = payload()
@@ -317,31 +316,3 @@ class TestColumnarAccumulators:
             device.command_counts = device.command_counts.copy()
             device.provider_occupancy = device.provider_occupancy.copy()
         assert payload() == viewed
-
-    def test_resumed_rows_keep_their_dtype(self, tmp_path):
-        # A resumed device's arrays share the unpickled dtype object;
-        # pickle memoizes dtypes by identity, so a row view with the
-        # builtin dtype would change the next checkpoint's bytes.
-        fleet, _ = build_fleet(SPEC, base_seed=SEED)
-        controller = FleetController(fleet, slices_per_tick=SLICES)
-        controller.run(1)
-        path = tmp_path / "fleet.ckpt"
-        controller.save_checkpoint(path)
-        resumed = FleetController.resume(path)
-        names = ("totals", "command_counts", "provider_occupancy")
-        before = [
-            [getattr(device, name).dtype for name in names]
-            for device in resumed.fleet
-        ]
-        assert before[0][0] is not np.dtype(np.float64)
-        resumed.run(1)
-        after = [
-            [getattr(device, name).dtype for name in names]
-            for device in resumed.fleet
-        ]
-        assert all(
-            a is b for row_a, row_b in zip(before, after)
-            for a, b in zip(row_a, row_b)
-        )
-        grouped = resumed.fleet.device("det-0000").totals
-        assert grouped.base is not None

@@ -421,9 +421,11 @@ class TestPersistence:
             assert _dumps(records + sink.records) == _dumps(straight)
 
     def test_legacy_checkpoint_with_stamp_resumes_exactly(self, tmp_path):
-        # A version-1 payload exactly as older builds wrote it — with
-        # the retired producer stamp — resumes and continues
-        # byte-identically to the uninterrupted run.
+        # A payload still carrying the retired producer stamp (which
+        # version-1 builds wrote) resumes and continues byte-identically
+        # to the uninterrupted run: readers take fields by key.
+        # Version-1 files themselves are rejected since the format
+        # changed (see test_runtime_fleet).
         from repro.runtime.checkpoint import (
             CHECKPOINT_VERSION,
             write_checkpoint,
@@ -434,7 +436,7 @@ class TestPersistence:
         controller, prefix = _run_records(fleet, ticks=2, slices=200)
         legacy = {
             "format": "repro-fleet-checkpoint",
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "tick": controller.tick,
             "slices_per_tick": controller.slices_per_tick,
             "backend": controller.backend,
@@ -444,7 +446,6 @@ class TestPersistence:
             "telemetry_per_device": True,
             "fleet": fleet,
         }
-        assert CHECKPOINT_VERSION == legacy["version"]
         path = tmp_path / "legacy.ckpt"
         write_checkpoint(path, legacy)
         sink = MemoryTelemetry()
